@@ -14,7 +14,21 @@ Exit status: 0 on success, 1 on schema violation or baseline regression.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# Pin the BLAS pools before numpy loads, as bench_parallel.py does.  The
+# quick rows are 64-row GEMMs: on a 2-core host OpenBLAS's default
+# two-thread pool swamps the element-wise work the speedup ratio compares
+# (SAE measured ~1.0x against its 1.24x floor; ~1.8x pinned).
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
 
 
 def main(argv=None) -> int:

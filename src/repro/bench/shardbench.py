@@ -329,10 +329,11 @@ def sharded_pretrain(
         loop.end_layer(i, errors[-1] if errors else float("nan"))
         if callback is not None:
             callback(i, [s.model.blocks[i] for s in shards], errors)
-        currents = [
-            shard.model._block_transform(shard.model.blocks[i], cur)
-            for shard, cur in zip(shards, currents)
-        ]
+        if i + 1 < n_layers:  # the last block's outputs have no reader
+            currents = [
+                shard.model._block_transform(shard.model.blocks[i], cur)
+                for shard, cur in zip(shards, currents)
+            ]
 
     merged = merge(shards)
     stack.blocks = merged.blocks

@@ -20,8 +20,8 @@ class Activation:
 
     The ``*_into`` variants are the fused hot-path forms (paper §IV.B):
     they write through preallocated buffers and perform no allocations.
-    ``mask`` (bool) and ``scratch`` (float64) match the operand shape;
-    activations that don't need them ignore them.
+    ``scratch`` (float64) matches the operand shape; activations that
+    don't need it ignore it.
     """
 
     name: str = "abstract"
@@ -32,7 +32,7 @@ class Activation:
     def grad_from_output(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def forward_into(self, z, out, mask=None, scratch=None) -> np.ndarray:
+    def forward_into(self, z, out, scratch=None) -> np.ndarray:
         """In-place forward pass; ``out`` may alias ``z``."""
         raise NotImplementedError
 
@@ -55,8 +55,8 @@ class Sigmoid(Activation):
     def grad_from_output(self, a: np.ndarray) -> np.ndarray:
         return a * (1.0 - a)
 
-    def forward_into(self, z, out, mask=None, scratch=None) -> np.ndarray:
-        return sigmoid_into(z, out, mask=mask, scratch=scratch)
+    def forward_into(self, z, out, scratch=None) -> np.ndarray:
+        return sigmoid_into(z, out, scratch=scratch)
 
     def mul_grad_into(self, delta, a, scratch=None) -> np.ndarray:
         if scratch is None:
@@ -78,7 +78,7 @@ class Identity(Activation):
     def grad_from_output(self, a: np.ndarray) -> np.ndarray:
         return np.ones_like(a)
 
-    def forward_into(self, z, out, mask=None, scratch=None) -> np.ndarray:
+    def forward_into(self, z, out, scratch=None) -> np.ndarray:
         if out is not z:
             np.copyto(out, z)
         return out
@@ -98,7 +98,7 @@ class Tanh(Activation):
     def grad_from_output(self, a: np.ndarray) -> np.ndarray:
         return 1.0 - a * a
 
-    def forward_into(self, z, out, mask=None, scratch=None) -> np.ndarray:
+    def forward_into(self, z, out, scratch=None) -> np.ndarray:
         return np.tanh(z, out=out)
 
     def mul_grad_into(self, delta, a, scratch=None) -> np.ndarray:

@@ -102,26 +102,41 @@ class SparseAutoencoder:
         self.b2 = zeros_init(self.n_visible)
 
     # ------------------------------------------------------------------
-    # forward passes
+    # forward passes: bias add and activation run in place on each GEMM
+    # result, so a layer costs one output array and no temporaries
     # ------------------------------------------------------------------
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Hidden representation y = s(W₁x + b₁) for a batch (Eq. 1)."""
         x = check_matrix_shapes(x, self.n_visible, "x")
-        return self.hidden_activation.forward(x @ self.w1.T + self.b1)
+        hidden = x @ self.w1.T
+        hidden += self.b1
+        return self.hidden_activation.forward_into(hidden, hidden)
 
     def decode(self, y: np.ndarray) -> np.ndarray:
         """Reconstruction z = s'(W₂y + b₂) for a batch of codes (Eq. 2)."""
         y = check_matrix_shapes(y, self.n_hidden, "y")
-        return self.output_activation.forward(y @ self.w2.T + self.b2)
+        recon = y @ self.w2.T
+        recon += self.b2
+        return self.output_activation.forward_into(recon, recon)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         """Full encode→decode round trip."""
         return self.decode(self.encode(x))
 
     def reconstruction_error(self, x: np.ndarray) -> float:
-        """Mean squared reconstruction error of the current parameters."""
+        """Mean squared reconstruction error of the current parameters.
+
+        The full-dataset epoch metric: ½ mean_i ‖zⁱ − xⁱ‖² as in
+        :meth:`SparseAutoencoderCost.reconstruction`, with the residual
+        formed in place on the reconstruction and reduced by one BLAS dot.
+        The code is dropped as soon as the decoder GEMM has read it.
+        """
         x = check_matrix_shapes(x, self.n_visible, "x")
-        return self.cost.reconstruction(self.reconstruct(x), x)
+        diff = self.encode(x) @ self.w2.T
+        diff += self.b2
+        self.output_activation.forward_into(diff, diff)
+        diff -= x
+        return 0.5 * dot_self(diff) / x.shape[0]
 
     # ------------------------------------------------------------------
     # objective and gradient
@@ -215,11 +230,10 @@ class SparseAutoencoder:
         m = x.shape[0]
         h = self.n_hidden
         hidden = ws.buf("sae.hidden", (m, h))
-        mask_h = ws.buf("sae.mask_h", (m, h), bool)
         scr_h = ws.buf("sae.scr_h", (m, h))
         np.dot(x, self.w1.T, out=hidden)
         hidden += ws.broadcast("sae.b1_full", self.b1, (m, h))
-        self.hidden_activation.forward_into(hidden, hidden, mask=mask_h, scratch=scr_h)
+        self.hidden_activation.forward_into(hidden, hidden, scratch=scr_h)
         if out is None:
             out = ws.buf("sae.rho", (h,))
         np.mean(hidden, axis=0, out=out)
@@ -273,13 +287,10 @@ class SparseAutoencoder:
             )
 
         hidden_raw = ws.buf("sae.hidden", (m, h))
-        mask_h = ws.buf("sae.mask_h", (m, h), bool)
         scr_h = ws.buf("sae.scr_h", (m, h))
         np.dot(x, self.w1.T, out=hidden_raw)
         hidden_raw += ws.broadcast("sae.b1_full", self.b1, (m, h))
-        self.hidden_activation.forward_into(
-            hidden_raw, hidden_raw, mask=mask_h, scratch=scr_h
-        )
+        self.hidden_activation.forward_into(hidden_raw, hidden_raw, scratch=scr_h)
         if hidden_mask is None:
             hidden = hidden_raw
         else:
@@ -288,13 +299,10 @@ class SparseAutoencoder:
             np.multiply(hidden_raw, hm_full, out=hidden)
 
         recon_raw = ws.buf("sae.recon", (m, v))
-        mask_v = ws.buf("sae.mask_v", (m, v), bool)
         scr_v = ws.buf("sae.scr_v", (m, v))
         np.dot(hidden, self.w2.T, out=recon_raw)
         recon_raw += ws.broadcast("sae.b2_full", self.b2, (m, v))
-        self.output_activation.forward_into(
-            recon_raw, recon_raw, mask=mask_v, scratch=scr_v
-        )
+        self.output_activation.forward_into(recon_raw, recon_raw, scratch=scr_v)
         if visible_mask is None:
             recon = recon_raw
         else:

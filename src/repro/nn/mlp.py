@@ -216,11 +216,12 @@ class DeepNetwork:
         fed = [x]
         cur = x
         for i, layer in enumerate(self.layers):
-            z = cur @ layer.w.T + layer.b
+            z = cur @ layer.w.T
+            z += layer.b
             if self.head == "softmax" and i == self.n_layers - 1:
                 out = softmax(z)
             else:
-                out = layer.activation.forward(z)
+                out = layer.activation.forward_into(z, z)
             activations.append(out)
             if dropout_masks is not None and i < self.n_layers - 1:
                 cur = out * dropout_masks[i]
@@ -389,9 +390,8 @@ class DeepNetwork:
                 np.sum(a, axis=1, keepdims=True, out=red)
                 a /= ws.broadcast("mlp.rowred_full", red, (m, layer.n_out))
             else:
-                mask = ws.buf(f"mlp.mask{i}", (m, layer.n_out), bool)
                 scr = ws.buf(f"mlp.scr{i}", (m, layer.n_out))
-                layer.activation.forward_into(a, a, mask=mask, scratch=scr)
+                layer.activation.forward_into(a, a, scratch=scr)
             activations.append(a)
             if dropout_masks is not None and i < self.n_layers - 1:
                 f = ws.buf(f"mlp.fed{i}", (m, layer.n_out))

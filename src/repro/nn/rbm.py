@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.nn.init import normal_init, zeros_init
 from repro.runtime.linalg import HAVE_BLAS, axpy_into, gemm_into
-from repro.utils.mathx import logistic_log1pexp, sigmoid, sigmoid_into
+from repro.utils.mathx import logistic_log1pexp, sigmoid_into
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_int, check_matrix_shapes, check_positive
 
@@ -88,21 +88,27 @@ class RBM:
         self.c = zeros_init(self.n_hidden)  # hidden bias
 
     # ------------------------------------------------------------------
-    # conditionals (Eqs. 8-9), batch vectorised — the paper's Eqs. 14-15
+    # conditionals (Eqs. 8-9), batch vectorised — the paper's Eqs. 14-15;
+    # bias add and sigmoid run in place on each GEMM result
     # ------------------------------------------------------------------
     def hidden_preactivation(self, v: np.ndarray) -> np.ndarray:
         """Wv + c per row — the shared input of Eqs. 7, 9 and the free energy."""
         v = check_matrix_shapes(v, self.n_visible, "v")
-        return v @ self.w.T + self.c
+        pre = v @ self.w.T
+        pre += self.c
+        return pre
 
     def hidden_probabilities(self, v: np.ndarray) -> np.ndarray:
         """p(h=1|v) for a batch of visibles (Eq. 9 / vector Eq. 15)."""
-        return sigmoid(self.hidden_preactivation(v))
+        pre = self.hidden_preactivation(v)
+        return sigmoid_into(pre, pre)
 
     def visible_probabilities(self, h: np.ndarray) -> np.ndarray:
         """p(v=1|h) for a batch of hiddens (Eq. 8 / vector Eq. 14)."""
         h = check_matrix_shapes(h, self.n_hidden, "h")
-        return sigmoid(h @ self.w + self.b)
+        pre = h @ self.w
+        pre += self.b
+        return sigmoid_into(pre, pre)
 
     def sample_hidden(self, v: np.ndarray, rng=None) -> Tuple[np.ndarray, np.ndarray]:
         """Sample binary hidden states; returns (probabilities, samples)."""
@@ -254,9 +260,7 @@ class RBM:
         hs = ws.buf("rbm.hs", (m, nh))
         vk = ws.buf("rbm.vk", (m, nv))
         rand_h = ws.buf("rbm.rand_h", (m, nh))
-        mask_h = ws.buf("rbm.mask_h", (m, nh), bool)
         scr_h = ws.buf("rbm.scr_h", (m, nh))
-        mask_v = ws.buf("rbm.mask_v", (m, nv), bool)
         scr_v = ws.buf("rbm.scr_v", (m, nv))
         hm_full = (
             None if hidden_mask is None
@@ -275,7 +279,7 @@ class RBM:
         # positive phase: p(h|v0), binary samples
         np.dot(v0, self.w.T, out=h0)
         h0 += c_full
-        sigmoid_into(h0, h0, mask=mask_h, scratch=scr_h)
+        sigmoid_into(h0, h0, scratch=scr_h)
         if hm_full is not None:
             h0 *= hm_full
         gen.random(out=rand_h)
@@ -284,7 +288,7 @@ class RBM:
         for _ in range(k):
             np.dot(hs, self.w, out=vk)
             vk += b_full
-            sigmoid_into(vk, vk, mask=mask_v, scratch=scr_v)
+            sigmoid_into(vk, vk, scratch=scr_v)
             if vm_full is not None:
                 vk *= vm_full
             if sample_visible:
@@ -293,7 +297,7 @@ class RBM:
                 np.less(rand_v, vk, out=vk)
             np.dot(vk, self.w.T, out=hk)
             hk += c_full
-            sigmoid_into(hk, hk, mask=mask_h, scratch=scr_h)
+            sigmoid_into(hk, hk, scratch=scr_h)
             if hm_full is not None:
                 hk *= hm_full
             gen.random(out=rand_h)

@@ -457,8 +457,9 @@ class _GreedyStack:
                 callback(i, block, errors)
             # The output dataset of this block becomes the next training set
             # (paper: "the output dataset is then used as the input training
-            # set of the second Autoencoder").
-            current = self._block_transform(block, current)
+            # set of the second Autoencoder"); the last block's has no reader.
+            if i + 1 < n_layers:
+                current = self._block_transform(block, current)
             n_in = spec.n_hidden
         return self
 

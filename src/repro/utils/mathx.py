@@ -20,52 +20,40 @@ _EPS = 1e-12
 def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Stable logistic function ``1 / (1 + exp(-x))`` (paper Eq. 1's ``s``).
 
-    Uses the two-branch formulation so neither branch ever exponentiates a
-    positive number.  With ``out`` the computation runs through
-    :func:`sigmoid_into` (same values bitwise, no fancy-indexing temps);
-    ``out`` may alias ``x``.
+    Allocates the result (and one scratch array) and runs
+    :func:`sigmoid_into`; with ``out`` it writes there instead, and ``out``
+    may alias ``x``.
     """
-    if out is not None:
-        return sigmoid_into(x, out)
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[neg])
-    out[neg] = ex / (1.0 + ex)
-    return out
+    if out is None:
+        out = np.empty_like(x, dtype=np.float64)
+    return sigmoid_into(x, out)
 
 
 def sigmoid_into(
-    x: np.ndarray,
-    out: np.ndarray,
-    mask: np.ndarray = None,
-    scratch: np.ndarray = None,
+    x: np.ndarray, out: np.ndarray, scratch: np.ndarray = None
 ) -> np.ndarray:
-    """Fused in-place sigmoid: the zero-allocation hot-path kernel.
+    """Fused in-place sigmoid: the one forward kernel (paper §IV.B).
 
-    Computes ``t = exp(-|x|)`` once, then selects ``1/(1+t)`` (x ≥ 0) or
-    ``t/(1+t)`` (x < 0) — bit-for-bit the same values as the two-branch
-    :func:`sigmoid`, with every element-wise pass running ``out=``-style
-    (the paper's §IV.B loop fusion).  ``out`` may alias ``x``.  ``mask``
-    (bool) and ``scratch`` (float64) must match ``x``'s shape; when omitted
-    they are allocated, so steady-state-zero-allocation callers pass
-    workspace buffers.
+    Computes ``exp(min(x, 0)) / (1 + exp(-|x|))`` in seven element-wise
+    passes.  Neither ``exp`` ever sees a positive argument, so nothing
+    overflows; for x ≥ 0 the numerator is exactly 1 and for x < 0 both
+    exponentials are ``exp(x)``, so the values are bitwise those of the
+    textbook two-branch form ``1/(1+exp(-x))`` | ``exp(x)/(1+exp(x))``
+    without its select.  ``out`` may alias ``x``.  ``scratch`` (float64,
+    shaped like ``x``) holds the numerator; when omitted it is allocated,
+    so steady-state-zero-allocation callers pass a workspace buffer.
     """
     x = np.asarray(x)
-    if mask is None:
-        mask = np.empty(x.shape, dtype=bool)
     if scratch is None:
         scratch = np.empty(x.shape, dtype=np.float64)
-    np.less(x, 0.0, out=mask)          # read x before out may overwrite it
-    np.abs(x, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)       # t = exp(-|x|)
-    np.add(scratch, 1.0, out=out)      # 1 + t
-    np.divide(scratch, out, out=scratch)   # t / (1 + t)   (x < 0 branch)
-    np.reciprocal(out, out=out)        # 1 / (1 + t)      (x >= 0 branch)
-    np.copyto(out, scratch, where=mask)
+    np.minimum(x, 0.0, out=scratch)    # read x before out may overwrite it
+    np.exp(scratch, out=scratch)       # exp(min(x, 0))
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)               # t = exp(-|x|)
+    out += 1.0
+    np.divide(scratch, out, out=out)
     return out
 
 

@@ -5,6 +5,10 @@ variants must match the allocating forms *bitwise* (not just to
 tolerance) or fused and reference training would diverge sample by
 sample.  Hypothesis drives the inputs through extreme magnitudes where
 naive reformulations overflow or lose ulps.
+
+``sigmoid`` itself runs through ``sigmoid_into``, so its oracle is a
+test-local copy of the textbook two-branch formula rather than the
+library's allocating form.
 """
 
 import numpy as np
@@ -33,25 +37,90 @@ def batches(min_value=-750.0, max_value=750.0):
     ).map(lambda xs: np.asarray(xs, dtype=np.float64))
 
 
-class TestInPlaceVariantsBitwise:
-    @given(batches())
-    @settings(max_examples=200, deadline=None)
-    def test_sigmoid_out_matches_allocating(self, x):
-        reference = sigmoid(x)
-        out = np.empty_like(x)
-        res = sigmoid(x, out=out)
-        assert res is out
-        np.testing.assert_array_equal(out, reference)
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Oracle: ``1/(1+exp(-x))`` on x ≥ 0, ``exp(x)/(1+exp(x))`` on x < 0,
+    selected by boolean indexing."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    neg = ~pos
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[neg])
+    out[neg] = ex / (1.0 + ex)
+    return out
 
-    @given(batches())
+
+#: Every non-NaN float64: ±inf, ±0.0, subnormals and |x| up to the
+#: largest finite value, plus magnitudes around the exp under/overflow
+#: thresholds where a naive formula goes wrong.
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]),
+)
+
+
+@st.composite
+def misaligned(draw, elements=ANY_FLOAT):
+    """A 1-129 element float64 view starting 0-3 elements into its buffer,
+    so SIMD loops see every alignment of head and tail."""
+    values = draw(st.lists(elements, min_size=1, max_size=129))
+    offset = draw(st.integers(min_value=0, max_value=3))
+    buf = np.zeros(offset + len(values), dtype=np.float64)
+    buf[offset:] = values
+    return buf[offset:]
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSigmoidAgainstTwoBranchOracle:
+    @given(misaligned())
+    @settings(max_examples=300, deadline=None)
+    def test_allocating_form_is_bitwise_oracle(self, x):
+        before = x.copy()
+        want = two_branch_sigmoid(x)
+        with np.errstate(over="raise"):
+            got = sigmoid(x)
+        assert_bitwise(got, want)
+        assert_bitwise(x, before)  # input untouched
+
+    @given(misaligned(st.one_of(ANY_FLOAT, st.just(np.nan))))
     @settings(max_examples=200, deadline=None)
-    def test_sigmoid_into_may_alias_input(self, x):
-        reference = sigmoid(x)
-        work = x.copy()
-        mask = np.empty_like(x, dtype=bool)
-        scratch = np.empty_like(x)
-        sigmoid_into(work, work, mask=mask, scratch=scratch)
-        np.testing.assert_array_equal(work, reference)
+    def test_nan_maps_to_nan_and_the_rest_to_the_oracle(self, x):
+        nan = np.isnan(x)
+        with np.errstate(over="raise"):
+            got = sigmoid(x)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert_bitwise(got[~nan], two_branch_sigmoid(x[~nan]))
+
+    def test_extremes_saturate_without_overflow(self):
+        x = np.array([-np.inf, -1e308, -746.0, -0.0, 0.0, 746.0, 1e308, np.inf])
+        with np.errstate(over="raise"):
+            got = sigmoid(x)
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
+
+
+class TestInPlaceVariantsBitwise:
+    @given(misaligned())
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_out_matches_allocating(self, x):
+        reference = two_branch_sigmoid(x)
+        out = np.empty_like(x)
+        with np.errstate(over="raise"):
+            res = sigmoid(x, out=out)
+        assert res is out
+        assert_bitwise(out, reference)
+
+    @given(misaligned(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_into_may_alias_input(self, x, with_scratch):
+        reference = two_branch_sigmoid(x)
+        scratch = np.empty_like(x) if with_scratch else None
+        with np.errstate(over="raise"):
+            res = sigmoid_into(x, x, scratch=scratch)
+        assert res is x
+        assert_bitwise(x, reference)
 
     @given(batches())
     @settings(max_examples=200, deadline=None)
