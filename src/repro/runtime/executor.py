@@ -4,18 +4,27 @@ Everything else under :mod:`repro.runtime` *models* the paper's
 concurrency; this module *executes* it.  Three pieces:
 
 * :class:`ParallelGradientEngine` — a pool of slot-bound worker threads
-  that splits each mini-batch across W workers.  Each worker computes
-  into a worker-private :class:`~repro.runtime.workspace.Workspace`
+  that splits each mini-batch into W shards.  Each shard computes
   through the existing fused kernels
   (:meth:`~repro.nn.autoencoder.SparseAutoencoder.gradients_into`,
   workspace-backed :meth:`~repro.nn.rbm.RBM.contrastive_divergence`,
-  :meth:`~repro.nn.mlp.DeepNetwork.gradients_into`); NumPy/BLAS release
-  the GIL inside the GEMMs, so the shards genuinely overlap on separate
-  cores.  Shard gradients are reduced with ``daxpy`` into shared
-  accumulators **in worker-index order** (deterministic floating point),
-  then one ``apply_update`` runs on the coordinator — the paper's
-  synchronized layer-wise update, and the worker-private-gradient scheme
-  of CHAOS (Viebke et al., arXiv:1702.07908).
+  :meth:`~repro.nn.mlp.DeepNetwork.gradients_into`).  Shard gradients
+  are reduced with ``daxpy`` into shared accumulators **in worker-index
+  order** (deterministic floating point), then one ``apply_update`` runs
+  on the coordinator — the paper's synchronized layer-wise update, and
+  the worker-private-gradient scheme of CHAOS (Viebke et al.,
+  arXiv:1702.07908).
+
+  Where the shards run is decided per call by the batch's size (the
+  paper's "Improved OpenMP+MKL" step coarsens parallel regions until
+  fork/join stops dominating).  From :data:`AUTO_SERIAL_CUTOFF` batch
+  cells up, shard *i* runs on slot thread *i* in a worker-private
+  :class:`~repro.runtime.workspace.Workspace`; NumPy/BLAS release the
+  GIL inside the GEMMs, so the shards overlap on separate cores.  Below
+  it, or with a single shard, the same shard tasks run in slot order on
+  the calling thread, in one coordinator-owned arena: at that size the
+  queue hand-offs and the GIL convoy between the workers cost more than
+  the overlap saves.  Both paths compute bit-identical results.
 
 * :class:`ChunkPrefetcher` — the executable twin of the *simulated*
   :class:`~repro.runtime.offload.OffloadPipeline` (paper Fig. 5): a
@@ -29,11 +38,12 @@ concurrency; this module *executes* it.  Three pieces:
   accepts either a standard executor or this engine as its pool, running
   Fig. 6 wavefronts concurrently (see :mod:`repro.runtime.taskgraph`).
 
-Determinism contract: worker *i* always owns RNG stream *i* (derived via
-:func:`repro.utils.rng.spawn_streams`) and shard *i* always runs on
-worker *i*, so a run at fixed W is bit-reproducible regardless of OS
-scheduling; for deterministic models the reduced gradient matches the
-serial full-batch gradient to ≤1e-10 (pinned by the test suite and the
+Determinism contract: shard *i* always draws from RNG stream *i*
+(derived via :func:`repro.utils.rng.spawn_streams`) and parks its result
+in slot *i*'s output arrays, whichever thread runs it, so a run at fixed
+W is bit-reproducible regardless of OS scheduling or dispatch path; for
+deterministic models the reduced gradient matches the serial full-batch
+gradient to ≤1e-10 (pinned by the test suite and the
 ``BENCH_parallel.json`` equivalence fields).
 """
 
@@ -42,7 +52,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +90,14 @@ SITE_PREFETCH_CHUNK = register_fault_site(
     "prefetch.chunk", "on the loader thread, between a successful load and publish"
 )
 
+#: Batch cells (rows × input width) from which a gradient call dispatches
+#: its shards to the slot threads; smaller calls run them on the calling
+#: thread, and ``make_engine("auto")`` builds no engine for them.  Measured
+#: at W=2 on a 2-core host with the GIL on (docs/parallelism.md), the
+#: crossover moves with layer width: narrow 256→128 layers cross near
+#: 50–65k cells, wide 576→400 ones below 23k; this value sits between.
+AUTO_SERIAL_CUTOFF = 1 << 15
+
 
 class ExecutorClosedError(ConfigurationError):
     """Work was submitted to an engine after :meth:`close`."""
@@ -93,7 +111,8 @@ class _WorkerSlot(threading.Thread):
     touched by exactly one thread, and determinism requires shard *i* to
     draw from RNG stream *i* every step.  Each slot runs a classic
     task-queue loop; results travel back through ``concurrent.futures``
-    futures.
+    futures.  The thread starts on the slot's first hand-off, so an
+    engine whose calls all run inline never starts one.
     """
 
     def __init__(self, index: int, engine_name: str):
@@ -103,7 +122,6 @@ class _WorkerSlot(threading.Thread):
         #: per-slot persistent reduction buffers, keyed by (tag, shape)
         self.outputs: Dict[Tuple, np.ndarray] = {}
         self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
-        self.start()
 
     def run(self) -> None:
         while True:
@@ -119,6 +137,8 @@ class _WorkerSlot(threading.Thread):
                 future.set_exception(exc)
 
     def submit(self, fn: Callable, *args, **kwargs) -> Future:
+        if self.ident is None:
+            self.start()
         future: Future = Future()
         self._tasks.put((fn, args, kwargs, future))
         return future
@@ -131,7 +151,8 @@ class _WorkerSlot(threading.Thread):
 
         Unlike workspace buffers these are *meant* to cross the thread
         boundary: the worker writes them, then the coordinator reads them
-        after joining the step's futures (a happens-before edge).
+        after joining the step's futures (a happens-before edge).  An
+        inline shard *i* writes slot *i*'s arrays from the calling thread.
         """
         key = (tag, tuple(int(s) for s in shape))
         arr = self.outputs.get(key)
@@ -139,6 +160,24 @@ class _WorkerSlot(threading.Thread):
             arr = np.empty(key[1])
             self.outputs[key] = arr
         return arr
+
+
+class _InlineSlot:
+    """Slot *i* as seen by a shard task run on the calling thread.
+
+    Same index (fault-site label) and same ``out()`` arrays as the slot
+    thread, but the coordinator's inline arena in place of the slot's
+    workspace, which stays pinned to the slot thread.  The inline shards
+    share that arena safely: they run in turn, and each parks its result
+    in its slot's ``out()`` arrays before the next one starts.
+    """
+
+    __slots__ = ("index", "workspace", "out")
+
+    def __init__(self, slot: _WorkerSlot, workspace: Workspace):
+        self.index = slot.index
+        self.workspace = workspace
+        self.out = slot.out
 
 
 class ParallelGradientEngine:
@@ -185,6 +224,8 @@ class ParallelGradientEngine:
             self._blas_guard = blas_thread_limit(blas_threads)
             self._blas_guard.__enter__()
         self._slots = [_WorkerSlot(i, self.name) for i in range(self.n_workers)]
+        inline_ws = Workspace(name=f"{self.name}.inline")
+        self._inline = [_InlineSlot(slot, inline_ws) for slot in self._slots]
         self._streams = spawn_streams(seed, self.n_workers)
         self._coord_ws = Workspace(name=f"{self.name}.coordinator")
         self._acc: Dict[Tuple, np.ndarray] = {}
@@ -203,7 +244,8 @@ class ParallelGradientEngine:
         for slot in self._slots:
             slot.shutdown()
         for slot in self._slots:
-            slot.join()
+            if slot.ident is not None:
+                slot.join()
         if self._blas_guard is not None:
             self._blas_guard.__exit__(None, None, None)
             self._blas_guard = None
@@ -312,11 +354,35 @@ class ParallelGradientEngine:
             axpy_into(piece, out, weight)
         return out
 
+    def _map_shards(
+        self, task: Callable, batch: np.ndarray, per_shard_args: Sequence[tuple]
+    ) -> List:
+        """``[task(slot_i, *per_shard_args[i]) for each shard i]``, in slot order.
+
+        One shard, or a ``batch`` of fewer than :data:`AUTO_SERIAL_CUTOFF`
+        cells, runs the tasks in turn on the calling thread; otherwise
+        shard *i* runs on slot thread *i*.  Every shard is joined before a
+        failure is re-raised, so no slot thread is still writing its
+        ``out()`` arrays when the caller sees the exception.
+        """
+        if len(per_shard_args) == 1 or batch.size < AUTO_SERIAL_CUTOFF:
+            return [
+                task(slot, *args) for slot, args in zip(self._inline, per_shard_args)
+            ]
+        futures = [
+            slot.submit(task, slot, *args)
+            for slot, args in zip(self._slots, per_shard_args)
+        ]
+        wait(futures)
+        return [f.result() for f in futures]
+
     @staticmethod
     def _as_batch(x: np.ndarray, width: int, label: str) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != width:
-            raise ConfigurationError(f"{label} must be (m, {width}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != width or x.shape[0] == 0:
+            raise ConfigurationError(
+                f"{label} must be (m, {width}) with m >= 1, got {x.shape}"
+            )
         if not x.flags["C_CONTIGUOUS"]:
             x = np.ascontiguousarray(x)
         return x
@@ -362,24 +428,18 @@ class ParallelGradientEngine:
         rho_global: Optional[np.ndarray] = None
         if model.cost.sparsity_weight > 0.0 and len(shards) > 1:
             # Phase A: per-shard hidden means, combined into the batch ρ̂.
-            futures = [
-                self._slots[i].submit(
-                    self._sae_rho_task, self._slots[i], model, x[start:stop]
-                )
-                for i, (start, stop) in enumerate(shards)
-            ]
-            rhos = [f.result() for f in futures]
+            rhos = self._map_shards(
+                self._sae_rho_task, x,
+                [(model, x[start:stop]) for start, stop in shards],
+            )
             rho_global = self._reduce(
                 rhos, weights, self._accumulator("sae.rho", (model.n_hidden,))
             )
 
-        futures = [
-            self._slots[i].submit(
-                self._sae_grad_task, self._slots[i], model, x[start:stop], rho_global
-            )
-            for i, (start, stop) in enumerate(shards)
-        ]
-        results = [f.result() for f in futures]
+        results = self._map_shards(
+            self._sae_grad_task, x,
+            [(model, x[start:stop], rho_global) for start, stop in shards],
+        )
         fault_point(SITE_ENGINE_REDUCE, kind="sae")
         loss = float(sum(w * r[0] for w, r in zip(weights, results)))
         self._reduce([r[1].w1 for r in results], weights, out.w1)
@@ -390,7 +450,9 @@ class ParallelGradientEngine:
         return loss, out
 
     @staticmethod
-    def _sae_rho_task(slot: _WorkerSlot, model: SparseAutoencoder, shard: np.ndarray):
+    def _sae_rho_task(
+        slot: _WorkerSlot | _InlineSlot, model: SparseAutoencoder, shard: np.ndarray
+    ):
         fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind="sae.rho")
         return model.mean_hidden_into(
             shard, slot.workspace, out=slot.out("sae.rho", (model.n_hidden,))
@@ -398,7 +460,7 @@ class ParallelGradientEngine:
 
     @staticmethod
     def _sae_grad_task(
-        slot: _WorkerSlot,
+        slot: _WorkerSlot | _InlineSlot,
         model: SparseAutoencoder,
         shard: np.ndarray,
         rho_global: Optional[np.ndarray],
@@ -466,19 +528,13 @@ class ParallelGradientEngine:
         m = v0.shape[0]
         shards = self._shards(m)
         weights = [(stop - start) / m for start, stop in shards]
-        futures = [
-            self._slots[i].submit(
-                self._cd_task,
-                self._slots[i],
-                rbm,
-                v0[start:stop],
-                k,
-                self._streams[i],
-                sample_visible,
-            )
-            for i, (start, stop) in enumerate(shards)
-        ]
-        results = [f.result() for f in futures]
+        results = self._map_shards(
+            self._cd_task, v0,
+            [
+                (rbm, v0[start:stop], k, stream, sample_visible)
+                for (start, stop), stream in zip(shards, self._streams)
+            ],
+        )
         fault_point(SITE_ENGINE_REDUCE, kind="rbm")
         nh, nv = rbm.n_hidden, rbm.n_visible
         grad_w = self._reduce([r.grad_w for r in results], weights,
@@ -495,7 +551,7 @@ class ParallelGradientEngine:
 
     @staticmethod
     def _cd_task(
-        slot: _WorkerSlot,
+        slot: _WorkerSlot | _InlineSlot,
         rbm: RBM,
         shard: np.ndarray,
         k: int,
@@ -508,7 +564,8 @@ class ParallelGradientEngine:
             workspace=slot.workspace,
         )
         # The stats alias workspace buffers; park them in slot-private
-        # output arrays so the coordinator may reduce after the join.
+        # output arrays so the coordinator may reduce after the join (and
+        # the next inline shard may reuse the shared arena).
         gw = slot.out("rbm.gw", stats.grad_w.shape)
         gb = slot.out("rbm.gb", stats.grad_b.shape)
         gc = slot.out("rbm.gc", stats.grad_c.shape)
@@ -554,17 +611,10 @@ class ParallelGradientEngine:
         m = x.shape[0]
         shards = self._shards(m)
         weights = [(stop - start) / m for start, stop in shards]
-        futures = [
-            self._slots[i].submit(
-                self._mlp_task,
-                self._slots[i],
-                network,
-                x[start:stop],
-                targets[start:stop],
-            )
-            for i, (start, stop) in enumerate(shards)
-        ]
-        results = [f.result() for f in futures]
+        results = self._map_shards(
+            self._mlp_task, x,
+            [(network, x[start:stop], targets[start:stop]) for start, stop in shards],
+        )
         fault_point(SITE_ENGINE_REDUCE, kind="mlp")
         loss = float(sum(w * r[0] for w, r in zip(weights, results)))
         reduced: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -582,7 +632,9 @@ class ParallelGradientEngine:
         return loss, reduced
 
     @staticmethod
-    def _mlp_task(slot: _WorkerSlot, network, x: np.ndarray, targets: np.ndarray):
+    def _mlp_task(
+        slot: _WorkerSlot | _InlineSlot, network, x: np.ndarray, targets: np.ndarray
+    ):
         fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind="mlp")
         loss, grads = network.gradients_into(x, targets, slot.workspace)
         parked = []

@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.runtime.executor import (
+    AUTO_SERIAL_CUTOFF,
     SITE_ENGINE_REDUCE,
     SITE_ENGINE_WORKER,
     ExecutorClosedError,
@@ -88,11 +89,6 @@ from repro.utils.rng import SeedLike, spawn_streams
 #: Prefix of every segment this module creates (the conftest leak guard
 #: scans ``/dev/shm`` for it after each test).
 SHM_PREFIX = "repro-shm"
-
-#: ``make_engine("auto")`` stays serial below this many batch cells
-#: (examples × visible units): tiny problems are dominated by dispatch
-#: overhead on any backend.
-AUTO_SERIAL_CUTOFF = 1 << 15
 
 
 class EngineError(ReproError):
@@ -995,11 +991,14 @@ def make_engine(
     * ``"thread"`` — :class:`~repro.runtime.executor.ParallelGradientEngine`;
     * ``"process"`` — :class:`ProcessGradientEngine`;
     * ``"auto"`` — serial when fewer than 2 usable cores or fewer than 2
-      workers would run, or when ``problem_size`` (batch × visible cells
-      per update) is below :data:`AUTO_SERIAL_CUTOFF`; otherwise threads
-      on free-threaded builds with the GIL off (real parallelism, zero
-      IPC — see :mod:`repro.runtime.freethreading`), else processes where
-      shared memory works, else threads.
+      workers would run, or when ``problem_size`` (batch × input-width
+      cells per update) is below
+      :data:`~repro.runtime.executor.AUTO_SERIAL_CUTOFF`, the measured
+      crossover below which the thread engine itself runs a call's shards
+      on the calling thread; otherwise threads on free-threaded builds
+      with the GIL off (real parallelism, zero IPC — see
+      :mod:`repro.runtime.freethreading`), else processes where shared
+      memory works, else threads.
     """
     mode = str(mode).lower()
     if mode not in ("auto", "thread", "process", "serial"):

@@ -92,6 +92,16 @@ class TestRun:
             )
 
 
+class TestRatioPrecision:
+    @pytest.mark.parametrize("num, den", [(0.373, 9.987), (0.041, 1.0), (12.345, 0.6)])
+    def test_small_and_large_ratios_keep_the_rows_contract(self, num, den):
+        # The worker-row contract: vs_serial within 1e-3 of serial_ms / ms.
+        assert bp._ratio(num, den) == pytest.approx(num / den, rel=1e-3)
+
+    def test_equal_times_give_exactly_one(self):
+        assert bp._ratio(8.4, 8.4) == 1.0
+
+
 class TestValidation:
     def test_rejects_wrong_schema(self, report):
         bad = copy.deepcopy(report)

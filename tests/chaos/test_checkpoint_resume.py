@@ -114,6 +114,12 @@ class TestKillAnywhereDBN:
         _assert_blocks_equal(baseline, resumed, ("w", "b", "c"))
 
 
+@pytest.mark.usefixtures("threaded_dispatch")
+class TestKillAnywhereDBNThreaded(TestKillAnywhereDBN):
+    """The same kills with every shard on its slot thread: the fault
+    surfaces through a worker's future and resume stays bit-identical."""
+
+
 class TestSerialResume:
     def test_resume_from_mid_run_snapshot_matches_full_run(self, x, tmp_path):
         # Serial mode has no injected kill; emulate a crash by restarting

@@ -6,9 +6,12 @@ paths through :class:`repro.train.loop.TrainLoop` must not rename,
 drop, or duplicate any of them.
 """
 
-import numpy as np
+import threading
 
-from repro.testing.faults import FaultPlan, inject, registered_sites
+import numpy as np
+import pytest
+
+from repro.testing.faults import FaultError, FaultPlan, inject, registered_sites
 
 # The complete kill-anywhere surface as of the model-parallel shard tier.
 EXPECTED_SITES = {
@@ -76,6 +79,38 @@ class TestSitesStillFireThroughTheUnifiedLoop:
         assert raised is not None
         assert raised.site == "engine.worker"
         assert plan.fired("engine.worker") == 1
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+    def test_engine_worker_fault_surfaces_from_the_thread_that_ran_the_shard(
+        self, threaded, request
+    ):
+        """Below the dispatch cutoff the fault fires on the calling thread;
+        with the cutoff at 0 it fires on slot thread 1 and still surfaces
+        through that shard's future."""
+        from repro.data.synth_digits import digit_dataset
+        from repro.nn.stacked import LayerSpec, StackedAutoencoder
+        from repro.runtime.executor import ParallelGradientEngine
+
+        if threaded:
+            request.getfixturevalue("threaded_dispatch")
+        fired_on = []
+
+        def fault():
+            fired_on.append(threading.current_thread().name)
+            return FaultError("engine.worker", 0)
+
+        x, _ = digit_dataset(32, size=5, seed=3)
+        stack = StackedAutoencoder(
+            25, [LayerSpec(6, epochs=1, batch_size=16)], seed=3
+        )
+        plan = FaultPlan.fail("engine.worker", match={"worker": 1}, exc=fault)
+        with ParallelGradientEngine(2, blas_threads=None, seed=3, name="eng") as eng:
+            with inject(plan):
+                with pytest.raises(FaultError) as info:
+                    stack.pretrain(np.asarray(x, dtype=np.float64), engine=eng)
+        assert plan.fired("engine.worker") == 1
+        caller = threading.current_thread().name
+        assert fired_on == ["eng-worker-1" if threaded else caller]
 
     def test_prefetch_sites_fire_in_chunked_mode(self):
         """TrainLoop's chunked staging visits the prefetcher's sites."""

@@ -115,6 +115,19 @@ def rng():
 
 
 @pytest.fixture
+def threaded_dispatch(monkeypatch):
+    """Dispatch every multi-shard thread-engine call to the slot threads.
+
+    The test shapes all sit below ``AUTO_SERIAL_CUTOFF``, where the engine
+    runs its shards on the calling thread; a cutoff of 0 sends them to the
+    workers instead, so one test body covers both dispatch paths.
+    """
+    from repro.runtime import executor
+
+    monkeypatch.setattr(executor, "AUTO_SERIAL_CUTOFF", 0)
+
+
+@pytest.fixture
 def digits_25():
     """Small flattened digit dataset: 64 examples of 5x5 images in [0,1]."""
     x, _ = digit_dataset(64, size=5, seed=7)

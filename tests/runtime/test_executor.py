@@ -1,4 +1,12 @@
-"""ParallelGradientEngine: bit-exactness vs serial, determinism, lifecycle."""
+"""ParallelGradientEngine: bit-exactness vs serial, determinism, lifecycle.
+
+The shapes here sit below ``AUTO_SERIAL_CUTOFF``, so the plain test
+classes exercise the inline path (shards on the calling thread); each
+``*Threaded`` subclass re-runs them with every shard on its slot thread.
+"""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +19,7 @@ from repro.nn.mlp import DeepNetwork, one_hot
 from repro.nn.rbm import RBM
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
 from repro.optim.sgd import SGD
+from repro.runtime import executor
 from repro.runtime.executor import ExecutorClosedError, ParallelGradientEngine
 from repro.runtime.taskgraph import rbm_cd1_taskgraph
 from repro.runtime.workspace import Workspace
@@ -107,6 +116,11 @@ class TestSAEEquivalence:
         assert float(np.max(np.abs(res_par.theta - res_ser.theta))) <= TOL
 
 
+@pytest.mark.usefixtures("threaded_dispatch")
+class TestSAEEquivalenceThreaded(TestSAEEquivalence):
+    """The SAE checks with every shard on its slot thread."""
+
+
 class TestCDDeterminism:
     def test_bit_reproducible_at_fixed_worker_count(self):
         x = np.random.default_rng(7).random((19, 9))
@@ -156,6 +170,11 @@ class TestCDDeterminism:
         assert not np.array_equal(rbm.w, w_before)
 
 
+@pytest.mark.usefixtures("threaded_dispatch")
+class TestCDDeterminismThreaded(TestCDDeterminism):
+    """The CD checks with every shard on its slot thread."""
+
+
 class TestSupervisedEquivalence:
     def test_gradients_match_serial(self):
         net = DeepNetwork([8, 6, 4], head="softmax", seed=0)
@@ -175,6 +194,11 @@ class TestSupervisedEquivalence:
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(ConfigurationError):
                 eng.supervised_gradients(net, np.zeros((5, 8)), np.zeros((4, 4)))
+
+
+@pytest.mark.usefixtures("threaded_dispatch")
+class TestSupervisedEquivalenceThreaded(TestSupervisedEquivalence):
+    """The back-propagation checks with every shard on its slot thread."""
 
 
 class TestTrainingLoopWiring:
@@ -209,6 +233,176 @@ class TestTrainingLoopWiring:
         np.testing.assert_allclose(res_par.losses, res_ser.losses, atol=TOL)
         diff = np.max(np.abs(serial_net.layers[0].w - parallel_net.layers[0].w))
         assert float(diff) <= TOL
+
+
+@pytest.mark.usefixtures("threaded_dispatch")
+class TestTrainingLoopWiringThreaded(TestTrainingLoopWiring):
+    """The training trajectories with every shard on its slot thread."""
+
+
+# -- both dispatch paths: same results, where the shards run, failures -------
+
+KINDS = ("sae", "rbm", "mlp")
+
+
+def _model(kind, seed=0):
+    if kind == "sae":
+        return _sae(sparsity=3.0, n_visible=8, seed=seed)  # two-phase protocol
+    if kind == "rbm":
+        return RBM(8, 5, seed=seed)
+    return DeepNetwork([8, 6, 4], head="softmax", seed=seed)
+
+
+def _gradients(eng, model, x, rng):
+    """One engine gradient call on ``model``; flat list of its results."""
+    if isinstance(model, SparseAutoencoder):
+        loss, g = eng.sae_gradients(model, x)
+        return [loss, g.w1, g.b1, g.w2, g.b2]
+    if isinstance(model, RBM):
+        s = eng.cd_gradients(model, x)
+        return [s.reconstruction_error, s.grad_w, s.grad_b, s.grad_c]
+    targets = np.eye(4)[rng.integers(0, 4, size=x.shape[0])]
+    loss, grads = eng.supervised_gradients(model, x, targets)
+    return [loss] + [a for pair in grads for a in pair]
+
+
+def _step(eng, model, x, rng):
+    if isinstance(model, SparseAutoencoder):
+        eng.sae_step(model, x, 0.1)
+    elif isinstance(model, RBM):
+        eng.cd_step(model, x, 0.1)
+    else:
+        targets = np.eye(4)[rng.integers(0, 4, size=x.shape[0])]
+        eng.supervised_step(model, x, targets, 0.1)
+
+
+def _params(model):
+    if isinstance(model, SparseAutoencoder):
+        return [model.w1, model.b1, model.w2, model.b2]
+    if isinstance(model, RBM):
+        return [model.w, model.b, model.c]
+    return [a for layer in model.layers for a in (layer.w, layer.b)]
+
+
+def _run_steps(kind, n_workers):
+    """Three ragged steps and a final gradient; everything a run produces."""
+    model = _model(kind)
+    rng = np.random.default_rng(21)
+    with ParallelGradientEngine(n_workers, blas_threads=None, seed=4) as eng:
+        for rows in (23, 17, 25):
+            _step(eng, model, rng.random((rows, 8)), rng)
+        results = [np.copy(r) for r in _gradients(eng, model, rng.random((19, 8)), rng)]
+        streams = eng.capture_rng_streams()
+    return results + [np.copy(p) for p in _params(model)], streams
+
+
+def _record_threads(monkeypatch, *task_names):
+    """Wrap the named shard tasks to log ``(slot index, thread ident)``."""
+    seen = []
+    for name in task_names:
+        original = getattr(ParallelGradientEngine, name)
+
+        def recording(slot, *args, _original=original):
+            seen.append((slot.index, threading.get_ident()))
+            return _original(slot, *args)
+
+        monkeypatch.setattr(ParallelGradientEngine, name, staticmethod(recording))
+    return seen
+
+
+TASKS = {
+    "sae": ("_sae_rho_task", "_sae_grad_task"),
+    "rbm": ("_cd_task",),
+    "mlp": ("_mlp_task",),
+}
+
+
+class TestShardDispatch:
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inline_and_threaded_runs_are_bit_identical(
+        self, kind, n_workers, monkeypatch
+    ):
+        inline, inline_streams = _run_steps(kind, n_workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "AUTO_SERIAL_CUTOFF", 0)
+            threaded, threaded_streams = _run_steps(kind, n_workers)
+        assert len(inline) == len(threaded)
+        for a, b in zip(inline, threaded):
+            assert np.array_equal(a, b)
+        assert inline_streams == threaded_streams
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shards_run_where_the_cutoff_says(self, kind, monkeypatch):
+        seen = _record_threads(monkeypatch, *TASKS[kind])
+        rows_at_cutoff = executor.AUTO_SERIAL_CUTOFF // 8
+        rng = np.random.default_rng(0)
+        caller = threading.get_ident()
+        with ParallelGradientEngine(2, blas_threads=None, seed=1) as eng:
+            model = _model(kind)
+            _gradients(eng, model, rng.random((rows_at_cutoff - 1, 8)), rng)
+            assert seen and all(ident == caller for _, ident in seen)
+            assert all(slot.ident is None for slot in eng._slots)  # never started
+            seen.clear()
+            _gradients(eng, model, rng.random((rows_at_cutoff, 8)), rng)
+            slot_idents = [slot.ident for slot in eng._slots]
+        assert sorted({i for i, _ in seen}) == [0, 1]
+        assert all(ident == slot_idents[i] for i, ident in seen)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_worker_never_hands_off(self, kind, monkeypatch, threaded_dispatch):
+        seen = _record_threads(monkeypatch, *TASKS[kind])
+        rng = np.random.default_rng(0)
+        with ParallelGradientEngine(1, blas_threads=None, seed=1) as eng:
+            _gradients(eng, _model(kind), rng.random((4096, 8)), rng)
+            slot = eng._slots[0]
+        assert seen and all(ident == threading.get_ident() for _, ident in seen)
+        assert slot.ident is None and slot.workspace.n_buffers == 0
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shard_exception_propagates_unchanged(
+        self, kind, threaded, monkeypatch, request
+    ):
+        if threaded:
+            request.getfixturevalue("threaded_dispatch")
+        error = RuntimeError("shard 1 failed")
+        task = TASKS[kind][-1]
+        original = getattr(ParallelGradientEngine, task)
+
+        def failing(slot, *args):
+            if slot.index == 1:
+                raise error
+            return original(slot, *args)
+
+        monkeypatch.setattr(ParallelGradientEngine, task, staticmethod(failing))
+        rng = np.random.default_rng(0)
+        with ParallelGradientEngine(2, blas_threads=None, seed=1) as eng:
+            with pytest.raises(RuntimeError) as info:
+                _gradients(eng, _model(kind), rng.random((12, 8)), rng)
+        assert info.value is error
+
+    def test_threaded_failure_joins_every_shard_before_raising(
+        self, monkeypatch, threaded_dispatch
+    ):
+        # Shard 0 fails at once while shard 1 is still running: the caller
+        # must not see the error before slot 1 has finished writing.
+        finished = threading.Event()
+        original = ParallelGradientEngine._cd_task
+
+        def task(slot, *args):
+            if slot.index == 0:
+                raise RuntimeError("shard 0 failed")
+            time.sleep(0.05)
+            result = original(slot, *args)
+            finished.set()
+            return result
+
+        monkeypatch.setattr(ParallelGradientEngine, "_cd_task", staticmethod(task))
+        with ParallelGradientEngine(2, blas_threads=None, seed=1) as eng:
+            with pytest.raises(RuntimeError, match="shard 0 failed"):
+                eng.cd_gradients(RBM(8, 5, seed=0), np.ones((12, 8)))
+            assert finished.is_set()
 
 
 class TestLifecycle:
@@ -247,6 +441,13 @@ class TestLifecycle:
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(ConfigurationError):
                 eng.sae_gradients(model, np.zeros((4, model.n_visible + 1)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_batch_rejected_with_its_shape(self, kind):
+        rng = np.random.default_rng(0)
+        with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
+            with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
+                _gradients(eng, _model(kind), np.zeros((0, 8)), rng)
 
     def test_shards_are_balanced_and_cover(self):
         with ParallelGradientEngine(n_workers=4, blas_threads=None) as eng:

@@ -287,6 +287,18 @@ class TestLifecycle:
             with pytest.raises(ConfigurationError):
                 eng.sae_gradients(model, np.zeros((4, model.n_visible + 1)))
 
+    def test_empty_batch_rejected_with_its_shape(self):
+        empty = np.zeros((0, 8))
+        with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
+            with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
+                eng.sae_gradients(_sae(n_visible=8), empty)
+            with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
+                eng.cd_gradients(RBM(8, 5, seed=0), empty)
+            with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
+                eng.supervised_gradients(
+                    DeepNetwork([8, 4], head="softmax", seed=0), empty, np.zeros((0, 4))
+                )
+
     def test_repr_reports_state(self):
         eng = ProcessGradientEngine(n_workers=2, blas_threads=None, name="probe")
         assert "open" in repr(eng) and "probe" in repr(eng)
