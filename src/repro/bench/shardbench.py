@@ -375,18 +375,9 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _model_params(model) -> List[np.ndarray]:
-    if isinstance(model, DeepNetwork):
-        out = []
-        for layer in model.layers:
-            out.extend((layer.w, layer.b))
-        return out
-    out = []
-    for block in model.blocks:
-        if isinstance(block, SparseAutoencoder):
-            out.extend((block.w1, block.b1, block.w2, block.b2))
-        else:
-            out.extend((block.w, block.b, block.c))
-    return out
+    """Every trainable array of a network, or of a stack block by block."""
+    blocks = model.blocks if hasattr(model, "blocks") else [model]
+    return [p for block in blocks for p in block.parameters()]
 
 
 def _roundtrip_max_abs(model, n_shards: int) -> float:

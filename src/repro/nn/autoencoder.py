@@ -18,7 +18,7 @@ paper follows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class AutoencoderGradients:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+
+    def __iter__(self):
+        """The four arrays in :meth:`SparseAutoencoder.parameters` order."""
+        return iter((self.w1, self.b1, self.w2, self.b2))
 
     def scaled(self, factor: float) -> "AutoencoderGradients":
         """Return a copy with every component multiplied by ``factor``."""
@@ -384,6 +388,44 @@ class SparseAutoencoder:
         ):
             scr = None if HAVE_BLAS else workspace.buf(name, param.shape)
             axpy_into(grad, param, -learning_rate, scratch=scr)
+
+    # ------------------------------------------------------------------
+    # shard protocol of the data-parallel gradient engines
+    # (repro.runtime.executor.ParallelGradientEngine.gradients)
+    # ------------------------------------------------------------------
+    shard_kind = "sae"
+
+    def parameters(self) -> List[np.ndarray]:
+        """The trainable arrays (W₁, b₁, W₂, b₂); gradients share their shapes."""
+        return [self.w1, self.b1, self.w2, self.b2]
+
+    def bind_parameters(self, arrays: Sequence[np.ndarray]) -> None:
+        """Adopt ``arrays`` (in :meth:`parameters` order) without copying."""
+        self.w1, self.b1, self.w2, self.b2 = arrays
+
+    def batch_widths(self) -> Tuple[int]:
+        return (self.n_visible,)
+
+    def prepass_shape(self) -> Optional[Tuple[int]]:
+        """ρ̂'s shape while the KL penalty needs the batch-global hidden mean."""
+        return (self.n_hidden,) if self.cost.sparsity_weight > 0.0 else None
+
+    def shard_prepass(self, workspace, out: np.ndarray, x: np.ndarray) -> None:
+        """Phase A of the two-phase sparsity protocol: the shard's ρ̂."""
+        self.mean_hidden_into(x, workspace, out=out)
+
+    def shard_gradients(self, workspace, out, x, pre=None, rng=None) -> float:
+        """Phase B: the shard's gradient at the global ρ̂ ``pre``, into ``out``."""
+        loss, _ = self.gradients_into(
+            x, workspace, out=AutoencoderGradients(*out), rho_hat=pre
+        )
+        return loss
+
+    @staticmethod
+    def shard_result(loss: float, grads) -> Tuple[float, AutoencoderGradients]:
+        if not isinstance(grads, AutoencoderGradients):
+            grads = AutoencoderGradients(*grads)
+        return loss, grads
 
     # ------------------------------------------------------------------
     # flat-parameter interface for batch optimizers (L-BFGS / CG, §III)

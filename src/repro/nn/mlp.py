@@ -469,6 +469,36 @@ class DeepNetwork:
             layer.b -= scr_b
 
     # ------------------------------------------------------------------
+    # shard protocol of the data-parallel gradient engines
+    # (repro.runtime.executor.ParallelGradientEngine.gradients)
+    # ------------------------------------------------------------------
+    shard_kind = "mlp"
+
+    def parameters(self) -> List[np.ndarray]:
+        """The trainable arrays, layer by layer: W₀, b₀, W₁, b₁, …"""
+        return [a for layer in self.layers for a in (layer.w, layer.b)]
+
+    def bind_parameters(self, arrays: Sequence[np.ndarray]) -> None:
+        """Adopt ``arrays`` (in :meth:`parameters` order) without copying."""
+        for layer, w, b in zip(self.layers, arrays[0::2], arrays[1::2]):
+            layer.w, layer.b = w, b
+
+    def batch_widths(self) -> Tuple[int, int]:
+        return (self.n_in, self.n_out)
+
+    def shard_gradients(self, workspace, out, x, targets, pre=None, rng=None) -> float:
+        """Back-propagation on one shard; the gradients are parked in ``out``."""
+        loss, grads = self.gradients_into(x, targets, workspace)
+        for i, (gw, gb) in enumerate(grads):
+            np.copyto(out[2 * i], gw)
+            np.copyto(out[2 * i + 1], gb)
+        return loss
+
+    @staticmethod
+    def shard_result(loss: float, grads) -> Tuple[float, List[Tuple[np.ndarray, np.ndarray]]]:
+        return loss, list(zip(grads[0::2], grads[1::2]))
+
+    # ------------------------------------------------------------------
     # flat interface (shared with the batch optimizers)
     # ------------------------------------------------------------------
     @property

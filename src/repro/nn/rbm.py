@@ -22,7 +22,7 @@ when exact CD semantics are wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -346,6 +346,41 @@ class RBM:
         ):
             scr = None if HAVE_BLAS else workspace.buf(name, param.shape)
             axpy_into(grad, param, learning_rate, scratch=scr)
+
+    # ------------------------------------------------------------------
+    # shard protocol of the data-parallel gradient engines
+    # (repro.runtime.executor.ParallelGradientEngine.gradients)
+    # ------------------------------------------------------------------
+    shard_kind = "rbm"
+
+    def parameters(self) -> List[np.ndarray]:
+        """The trainable arrays (W, b, c); CD statistics share their shapes."""
+        return [self.w, self.b, self.c]
+
+    def bind_parameters(self, arrays: Sequence[np.ndarray]) -> None:
+        """Adopt ``arrays`` (in :meth:`parameters` order) without copying."""
+        self.w, self.b, self.c = arrays
+
+    def batch_widths(self) -> Tuple[int]:
+        return (self.n_visible,)
+
+    def shard_gradients(
+        self, workspace, out, v0, pre=None, rng=None, k: int = 1,
+        sample_visible: bool = False,
+    ) -> float:
+        """CD-k on one shard, its Gibbs chain drawn from ``rng``."""
+        stats = self.contrastive_divergence(
+            v0, k=k, rng=rng, sample_visible=sample_visible, workspace=workspace
+        )
+        # The statistics alias workspace buffers: park them in ``out`` so
+        # the engine may reduce them after the next shard reuses the arena.
+        for dst, src in zip(out, (stats.grad_w, stats.grad_b, stats.grad_c)):
+            np.copyto(dst, src)
+        return stats.reconstruction_error
+
+    @staticmethod
+    def shard_result(loss: float, grads) -> CDStatistics:
+        return CDStatistics(*grads, loss)
 
     # ------------------------------------------------------------------
     def transform(self, v: np.ndarray) -> np.ndarray:

@@ -4,16 +4,19 @@ Everything else under :mod:`repro.runtime` *models* the paper's
 concurrency; this module *executes* it.  Three pieces:
 
 * :class:`ParallelGradientEngine` — a pool of slot-bound worker threads
-  that splits each mini-batch into W shards.  Each shard computes
-  through the existing fused kernels
-  (:meth:`~repro.nn.autoencoder.SparseAutoencoder.gradients_into`,
-  workspace-backed :meth:`~repro.nn.rbm.RBM.contrastive_divergence`,
-  :meth:`~repro.nn.mlp.DeepNetwork.gradients_into`).  Shard gradients
-  are reduced with ``daxpy`` into shared accumulators **in worker-index
-  order** (deterministic floating point), then one ``apply_update`` runs
-  on the coordinator — the paper's synchronized layer-wise update, and
-  the worker-private-gradient scheme of CHAOS (Viebke et al.,
-  arXiv:1702.07908).
+  that splits each mini-batch into W shards.  Its one coordinator,
+  :meth:`~ParallelGradientEngine.gradients`, knows no model: each model
+  brings its per-shard maths through a small *shard protocol*
+  (``shard_gradients`` and friends, on
+  :class:`~repro.nn.autoencoder.SparseAutoencoder`,
+  :class:`~repro.nn.rbm.RBM` and :class:`~repro.nn.mlp.DeepNetwork`,
+  which run their fused kernels).  Shard gradients are reduced with
+  ``daxpy`` into accumulators **in worker-index order** (deterministic
+  floating point), then one ``apply_update`` runs on the coordinator —
+  the paper's synchronized layer-wise update, and the
+  worker-private-gradient scheme of CHAOS (Viebke et al.,
+  arXiv:1702.07908).  :class:`~repro.runtime.procexec.ProcessGradientEngine`
+  runs the same coordinator over worker processes.
 
   Where the shards run is decided per call by the batch's size (the
   paper's "Improved OpenMP+MKL" step coarsens parallel regions until
@@ -119,8 +122,6 @@ class _WorkerSlot(threading.Thread):
         super().__init__(name=f"{engine_name}-worker-{index}", daemon=True)
         self.index = index
         self.workspace = Workspace(name=f"{engine_name}.worker{index}")
-        #: per-slot persistent reduction buffers, keyed by (tag, shape)
-        self.outputs: Dict[Tuple, np.ndarray] = {}
         self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
 
     def run(self) -> None:
@@ -146,38 +147,56 @@ class _WorkerSlot(threading.Thread):
     def shutdown(self) -> None:
         self._tasks.put(None)
 
-    def out(self, tag: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """Slot-private plain array for handing results to the coordinator.
-
-        Unlike workspace buffers these are *meant* to cross the thread
-        boundary: the worker writes them, then the coordinator reads them
-        after joining the step's futures (a happens-before edge).  An
-        inline shard *i* writes slot *i*'s arrays from the calling thread.
-        """
-        key = (tag, tuple(int(s) for s in shape))
-        arr = self.outputs.get(key)
-        if arr is None:
-            arr = np.empty(key[1])
-            self.outputs[key] = arr
-        return arr
-
 
 class _InlineSlot:
     """Slot *i* as seen by a shard task run on the calling thread.
 
-    Same index (fault-site label) and same ``out()`` arrays as the slot
-    thread, but the coordinator's inline arena in place of the slot's
-    workspace, which stays pinned to the slot thread.  The inline shards
-    share that arena safely: they run in turn, and each parks its result
-    in its slot's ``out()`` arrays before the next one starts.
+    Same index (fault-site label and output arrays) as the slot thread,
+    but the coordinator's inline arena in place of the slot's workspace,
+    which stays pinned to the slot thread.  The inline shards share that
+    arena safely: they run in turn, and each parks its result in its
+    slot's output arrays before the next one starts.
     """
 
-    __slots__ = ("index", "workspace", "out")
+    __slots__ = ("index", "workspace")
 
-    def __init__(self, slot: _WorkerSlot, workspace: Workspace):
-        self.index = slot.index
+    def __init__(self, index: int, workspace: Workspace):
+        self.index = index
         self.workspace = workspace
-        self.out = slot.out
+
+
+class _ShardPlan:
+    """One model's shard protocol, resolved once per engine.
+
+    Everything a :meth:`ParallelGradientEngine.gradients` call on the
+    model reuses: its fault-site labels and batch widths, the
+    coordinator's reduce targets, and every slot's output arrays — the
+    shard gradients and, for a model with a prepass, its statistic.
+    ``alloc(tag, shape)`` returns ``(handle, array)``; the handles
+    (``*_ids``) are how a transport names the arrays to its workers.
+    """
+
+    def __init__(self, model, n_slots: int, alloc: Callable):
+        self.model = model  # strong ref: keeps id(model) stable
+        self.kind = model.shard_kind
+        self.pre_kind = f"{self.kind}.prepass"
+        self.widths = tuple(int(w) for w in model.batch_widths())
+        shapes = [np.shape(p) for p in model.parameters()]
+        self.acc = [np.empty(shape) for shape in shapes]
+        slots = [
+            [alloc(f"g{j}.w{i}", shape) for j, shape in enumerate(shapes)]
+            for i in range(n_slots)
+        ]
+        self.out_ids = [[h for h, _ in slot] for slot in slots]
+        self.outs = [[a for _, a in slot] for slot in slots]
+        prepass = getattr(model, "prepass_shape", None)
+        pre_shape = None if prepass is None else prepass()
+        self.pre_id = self.pre = self.pre_out_ids = self.pre_outs = None
+        if pre_shape is not None:
+            self.pre_id, self.pre = alloc("pre", pre_shape)
+            pres = [alloc(f"pre.w{i}", pre_shape) for i in range(n_slots)]
+            self.pre_out_ids = [h for h, _ in pres]
+            self.pre_outs = [a for _, a in pres]
 
 
 class ParallelGradientEngine:
@@ -219,23 +238,27 @@ class ParallelGradientEngine:
                 recommended_blas_threads(self.n_workers) if self.n_workers > 1 else None
             )
         self.blas_threads = blas_threads
-        self._blas_guard = None
-        if blas_threads is not None:
-            self._blas_guard = blas_thread_limit(blas_threads)
-            self._blas_guard.__enter__()
-        self._slots = [_WorkerSlot(i, self.name) for i in range(self.n_workers)]
-        inline_ws = Workspace(name=f"{self.name}.inline")
-        self._inline = [_InlineSlot(slot, inline_ws) for slot in self._slots]
         self._streams = spawn_streams(seed, self.n_workers)
         self._coord_ws = Workspace(name=f"{self.name}.coordinator")
-        self._acc: Dict[Tuple, np.ndarray] = {}
+        self._plans: Dict[int, _ShardPlan] = {}
         self._rr = 0
         self._closed = False
         self.n_steps = 0
+        self._start()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def _start(self) -> None:
+        """Pin the BLAS pools and set up the slots (threads start lazily)."""
+        self._blas_guard = None
+        if self.blas_threads is not None:
+            self._blas_guard = blas_thread_limit(self.blas_threads)
+            self._blas_guard.__enter__()
+        self._slots = [_WorkerSlot(i, self.name) for i in range(self.n_workers)]
+        inline_ws = Workspace(name=f"{self.name}.inline")
+        self._inline = [_InlineSlot(i, inline_ws) for i in range(self.n_workers)]
+
     def close(self) -> None:
         """Stop the worker threads and restore the BLAS thread limits."""
         if self._closed:
@@ -317,8 +340,62 @@ class ParallelGradientEngine:
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
-    # shard plumbing
+    # the coordinator (shared by every engine; transports override the
+    # hooks in the next section)
     # ------------------------------------------------------------------
+    def gradients(self, model, *batch: np.ndarray, out=None, **options):
+        """Full-batch loss and gradient of ``model`` on ``batch``, data-parallel.
+
+        ``model`` speaks the *shard protocol* (see
+        :class:`~repro.nn.autoencoder.SparseAutoencoder`,
+        :class:`~repro.nn.rbm.RBM`, :class:`~repro.nn.mlp.DeepNetwork`):
+
+        * ``shard_kind`` — the ``engine.worker``/``engine.reduce`` label;
+        * ``parameters()`` — the trainable arrays in a fixed order; the
+          gradient pieces have the same shapes;
+        * ``bind_parameters(arrays)`` — adopt arrays without copying (the
+          process engine binds its workers' copies to shared memory);
+        * ``batch_widths()`` — one width per batch array;
+        * ``shard_gradients(workspace, out, *shard, pre=None, rng=None,
+          **options)`` — write the shard's gradient pieces into ``out``
+          and return its loss;
+        * ``shard_result(loss, grads)`` — pack the reduced pieces;
+        * optionally ``prepass_shape()`` and ``shard_prepass(workspace,
+          out, *shard)`` — a per-shard statistic whose ``mᵢ/m``-weighted
+          reduce every shard then receives as ``pre`` (with one shard the
+          prepass is skipped and ``pre`` is ``None``).
+
+        The coordinator validates the batch, splits its rows into balanced
+        contiguous shards, maps shard *i* to slot *i* with RNG stream *i*,
+        and reduces the pieces in slot order with weights ``mᵢ/m`` — into
+        ``out`` (a sequence of arrays in ``parameters()`` order) when
+        given, else into per-model engine accumulators that the next call
+        on the model overwrites.  ``options`` reach every
+        ``shard_gradients`` call.
+        """
+        self._check_open()
+        plan = self._plans.get(id(model))
+        if plan is None:
+            plan = self._plans[id(model)] = self._plan(model)
+        batch = self._as_batches(batch, plan.widths)
+        m = batch[0].shape[0]
+        shards = self._shards(m)
+        weights = [(stop - start) / m for start, stop in shards]
+        k = len(shards)
+        staged = self._stage(plan, batch)
+        pre = None
+        if plan.pre is not None and k > 1:
+            self._run_prepass(plan, staged, shards)
+            pre = self._reduce(plan.pre_outs[:k], weights, plan.pre)
+        losses = self._run_shards(plan, staged, shards, pre, options)
+        fault_point(SITE_ENGINE_REDUCE, kind=plan.kind)
+        loss = float(sum(w * l for w, l in zip(weights, losses)))
+        grads = plan.acc if out is None else out
+        for j, target in enumerate(grads):
+            self._reduce([slot[j] for slot in plan.outs[:k]], weights, target)
+        self.n_steps += 1
+        return model.shard_result(loss, grads)
+
     def _shards(self, m: int) -> List[Tuple[int, int]]:
         """Balanced contiguous [start, stop) split of ``m`` rows.
 
@@ -336,14 +413,6 @@ class ParallelGradientEngine:
             start = stop
         return bounds
 
-    def _accumulator(self, tag: str, shape: Tuple[int, ...]) -> np.ndarray:
-        key = (tag, tuple(int(s) for s in shape))
-        arr = self._acc.get(key)
-        if arr is None:
-            arr = np.empty(key[1])
-            self._acc[key] = arr
-        return arr
-
     @staticmethod
     def _reduce(
         pieces: Sequence[np.ndarray], weights: Sequence[float], out: np.ndarray
@@ -354,6 +423,56 @@ class ParallelGradientEngine:
             axpy_into(piece, out, weight)
         return out
 
+    @staticmethod
+    def _as_batches(batch: Sequence, widths: Tuple[int, ...]) -> List[np.ndarray]:
+        if len(batch) != len(widths):
+            raise ConfigurationError(
+                f"expected {len(widths)} batch array(s), got {len(batch)}"
+            )
+        parts = []
+        for j, (part, width) in enumerate(zip(batch, widths)):
+            part = np.asarray(part, dtype=np.float64)
+            if part.ndim != 2 or part.shape[1] != width or part.shape[0] == 0:
+                raise ConfigurationError(
+                    f"batch[{j}] must be (m, {width}) with m >= 1, got {part.shape}"
+                )
+            if parts and part.shape[0] != parts[0].shape[0]:
+                raise ConfigurationError(
+                    f"batch[{j}] has {part.shape[0]} rows but batch[0] has "
+                    f"{parts[0].shape[0]}"
+                )
+            if not part.flags["C_CONTIGUOUS"]:
+                part = np.ascontiguousarray(part)
+            parts.append(part)
+        return parts
+
+    # ------------------------------------------------------------------
+    # transport: slot threads, or the calling thread for small calls
+    # ------------------------------------------------------------------
+    def _plan(self, model) -> _ShardPlan:
+        return _ShardPlan(
+            model, self.n_workers, lambda tag, shape: (None, np.empty(shape))
+        )
+
+    def _stage(self, plan: _ShardPlan, batch: List[np.ndarray]):
+        """Make ``batch`` visible to the workers; threads share it as is."""
+        return batch
+
+    def _run_prepass(self, plan: _ShardPlan, batch, shards) -> None:
+        self._map_shards(
+            self._prepass_task, batch[0],
+            [(plan, [part[lo:hi] for part in batch]) for lo, hi in shards],
+        )
+
+    def _run_shards(self, plan: _ShardPlan, batch, shards, pre, options) -> List:
+        return self._map_shards(
+            self._shard_task, batch[0],
+            [
+                (plan, [part[lo:hi] for part in batch], pre, stream, options)
+                for (lo, hi), stream in zip(shards, self._streams)
+            ],
+        )
+
     def _map_shards(
         self, task: Callable, batch: np.ndarray, per_shard_args: Sequence[tuple]
     ) -> List:
@@ -363,7 +482,7 @@ class ParallelGradientEngine:
         cells, runs the tasks in turn on the calling thread; otherwise
         shard *i* runs on slot thread *i*.  Every shard is joined before a
         failure is re-raised, so no slot thread is still writing its
-        ``out()`` arrays when the caller sees the exception.
+        output arrays when the caller sees the exception.
         """
         if len(per_shard_args) == 1 or batch.size < AUTO_SERIAL_CUTOFF:
             return [
@@ -377,118 +496,50 @@ class ParallelGradientEngine:
         return [f.result() for f in futures]
 
     @staticmethod
-    def _as_batch(x: np.ndarray, width: int, label: str) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != width or x.shape[0] == 0:
-            raise ConfigurationError(
-                f"{label} must be (m, {width}) with m >= 1, got {x.shape}"
-            )
-        if not x.flags["C_CONTIGUOUS"]:
-            x = np.ascontiguousarray(x)
-        return x
+    def _prepass_task(slot: _WorkerSlot | _InlineSlot, plan: _ShardPlan, shard) -> None:
+        fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind=plan.pre_kind)
+        plan.model.shard_prepass(slot.workspace, plan.pre_outs[slot.index], *shard)
+
+    @staticmethod
+    def _shard_task(
+        slot: _WorkerSlot | _InlineSlot,
+        plan: _ShardPlan,
+        shard: List[np.ndarray],
+        pre: Optional[np.ndarray],
+        rng: np.random.Generator,
+        options: dict,
+    ) -> float:
+        fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind=plan.kind)
+        return plan.model.shard_gradients(
+            slot.workspace, plan.outs[slot.index], *shard, pre=pre, rng=rng, **options
+        )
 
     # ------------------------------------------------------------------
-    # sparse autoencoder
+    # per-model entry points: the training steps and benchmarks call these
     # ------------------------------------------------------------------
-    def sae_gradients(
-        self,
-        model: SparseAutoencoder,
-        x: np.ndarray,
-        out: Optional[AutoencoderGradients] = None,
-    ) -> Tuple[float, AutoencoderGradients]:
-        """Full-batch loss and gradient of ``model`` on ``x``, data-parallel.
+    def sae_gradients(self, model, x: np.ndarray, out=None):
+        """Full-batch loss and gradient of a sparse autoencoder on ``x``.
 
         Equals the serial :meth:`~repro.nn.autoencoder.SparseAutoencoder.gradients`
         to ≤1e-10: shard gradients are exact shard restrictions of the
         batch objective (the weight-decay term carries weight ``mᵢ/m``
-        which sums to one), and when the KL sparsity penalty is active a
-        first parallel pass combines the shard hidden means into the
-        *global* ρ̂ before the gradient pass (two-phase protocol).
+        which sums to one), and when the KL sparsity penalty is active the
+        prepass combines the shard hidden means into the *global* ρ̂ before
+        the gradient pass (two-phase protocol).
 
         ``out`` receives the reduced gradients (e.g. flat-gradient views);
         omitted, they land in engine-owned accumulators that the next
-        engine call may overwrite.
+        engine call on the model may overwrite.
         """
-        from repro.nn.autoencoder import AutoencoderGradients
+        return self.gradients(model, x, out=out)
 
-        self._check_open()
-        x = self._as_batch(x, model.n_visible, "x")
-        m = x.shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        if out is None:
-            h, v = model.n_hidden, model.n_visible
-            out = AutoencoderGradients(
-                self._accumulator("sae.w1", (h, v)),
-                self._accumulator("sae.b1", (h,)),
-                self._accumulator("sae.w2", (v, h)),
-                self._accumulator("sae.b2", (v,)),
-            )
-
-        rho_global: Optional[np.ndarray] = None
-        if model.cost.sparsity_weight > 0.0 and len(shards) > 1:
-            # Phase A: per-shard hidden means, combined into the batch ρ̂.
-            rhos = self._map_shards(
-                self._sae_rho_task, x,
-                [(model, x[start:stop]) for start, stop in shards],
-            )
-            rho_global = self._reduce(
-                rhos, weights, self._accumulator("sae.rho", (model.n_hidden,))
-            )
-
-        results = self._map_shards(
-            self._sae_grad_task, x,
-            [(model, x[start:stop], rho_global) for start, stop in shards],
-        )
-        fault_point(SITE_ENGINE_REDUCE, kind="sae")
-        loss = float(sum(w * r[0] for w, r in zip(weights, results)))
-        self._reduce([r[1].w1 for r in results], weights, out.w1)
-        self._reduce([r[1].b1 for r in results], weights, out.b1)
-        self._reduce([r[1].w2 for r in results], weights, out.w2)
-        self._reduce([r[1].b2 for r in results], weights, out.b2)
-        self.n_steps += 1
-        return loss, out
-
-    @staticmethod
-    def _sae_rho_task(
-        slot: _WorkerSlot | _InlineSlot, model: SparseAutoencoder, shard: np.ndarray
-    ):
-        fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind="sae.rho")
-        return model.mean_hidden_into(
-            shard, slot.workspace, out=slot.out("sae.rho", (model.n_hidden,))
-        )
-
-    @staticmethod
-    def _sae_grad_task(
-        slot: _WorkerSlot | _InlineSlot,
-        model: SparseAutoencoder,
-        shard: np.ndarray,
-        rho_global: Optional[np.ndarray],
-    ):
-        from repro.nn.autoencoder import AutoencoderGradients
-
-        fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind="sae")
-        h, v = model.n_hidden, model.n_visible
-        grads = AutoencoderGradients(
-            slot.out("sae.gw1", (h, v)),
-            slot.out("sae.gb1", (h,)),
-            slot.out("sae.gw2", (v, h)),
-            slot.out("sae.gb2", (v,)),
-        )
-        loss, grads = model.gradients_into(
-            shard, slot.workspace, out=grads, rho_hat=rho_global
-        )
-        return loss, grads
-
-    def sae_step(
-        self, model: SparseAutoencoder, x: np.ndarray, learning_rate: float
-    ) -> float:
+    def sae_step(self, model, x: np.ndarray, learning_rate: float) -> float:
         """One synchronized parallel SGD step; returns the batch loss."""
         loss, grads = self.sae_gradients(model, x)
         model.apply_update(grads, learning_rate, workspace=self._coord_ws)
         return loss
 
-    def flat_objective(self, model: SparseAutoencoder) -> Callable:
+    def flat_objective(self, model) -> Callable:
         """``objective(theta, batch) -> (loss, grad)`` for :class:`repro.optim.sgd.SGD`.
 
         Adopts ``theta`` through the model's flat views (no save/restore
@@ -505,146 +556,38 @@ class ParallelGradientEngine:
 
         return objective
 
-    # ------------------------------------------------------------------
-    # RBM contrastive divergence
-    # ------------------------------------------------------------------
-    def cd_gradients(
-        self,
-        rbm: RBM,
-        v0: np.ndarray,
-        k: int = 1,
-        sample_visible: bool = False,
-    ) -> CDStatistics:
+    def cd_gradients(self, rbm, v0: np.ndarray, k: int = 1, sample_visible: bool = False):
         """Data-parallel CD-k statistics with deterministic worker streams.
 
-        Worker *i* samples its Gibbs chain from engine stream *i*, so the
+        Shard *i* samples its Gibbs chain from engine stream *i*, so the
         result is bit-reproducible at fixed ``n_workers`` and exactly
         equals running the same shards serially with the same streams
-        (the oracle the test suite checks).  Statistics land in shared
-        engine accumulators — apply or copy before the next engine call.
+        (the oracle the test suite checks).  Statistics land in engine
+        accumulators — apply or copy before the next engine call.
         """
-        self._check_open()
-        v0 = self._as_batch(v0, rbm.n_visible, "v0")
-        m = v0.shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        results = self._map_shards(
-            self._cd_task, v0,
-            [
-                (rbm, v0[start:stop], k, stream, sample_visible)
-                for (start, stop), stream in zip(shards, self._streams)
-            ],
-        )
-        fault_point(SITE_ENGINE_REDUCE, kind="rbm")
-        nh, nv = rbm.n_hidden, rbm.n_visible
-        grad_w = self._reduce([r.grad_w for r in results], weights,
-                              self._accumulator("rbm.gw", (nh, nv)))
-        grad_b = self._reduce([r.grad_b for r in results], weights,
-                              self._accumulator("rbm.gb", (nv,)))
-        grad_c = self._reduce([r.grad_c for r in results], weights,
-                              self._accumulator("rbm.gc", (nh,)))
-        err = float(sum(w * r.reconstruction_error for w, r in zip(weights, results)))
-        self.n_steps += 1
-        from repro.nn.rbm import CDStatistics
-
-        return CDStatistics(grad_w, grad_b, grad_c, err)
-
-    @staticmethod
-    def _cd_task(
-        slot: _WorkerSlot | _InlineSlot,
-        rbm: RBM,
-        shard: np.ndarray,
-        k: int,
-        stream: np.random.Generator,
-        sample_visible: bool,
-    ) -> CDStatistics:
-        fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind="rbm")
-        stats = rbm.contrastive_divergence(
-            shard, k=k, rng=stream, sample_visible=sample_visible,
-            workspace=slot.workspace,
-        )
-        # The stats alias workspace buffers; park them in slot-private
-        # output arrays so the coordinator may reduce after the join (and
-        # the next inline shard may reuse the shared arena).
-        gw = slot.out("rbm.gw", stats.grad_w.shape)
-        gb = slot.out("rbm.gb", stats.grad_b.shape)
-        gc = slot.out("rbm.gc", stats.grad_c.shape)
-        np.copyto(gw, stats.grad_w)
-        np.copyto(gb, stats.grad_b)
-        np.copyto(gc, stats.grad_c)
-        from repro.nn.rbm import CDStatistics
-
-        return CDStatistics(gw, gb, gc, stats.reconstruction_error)
+        return self.gradients(rbm, v0, k=k, sample_visible=sample_visible)
 
     def cd_step(
         self,
-        rbm: RBM,
+        rbm,
         v0: np.ndarray,
         learning_rate: float,
         k: int = 1,
         sample_visible: bool = False,
-    ) -> CDStatistics:
+    ):
         """One synchronized parallel CD-k update (Eq. 13)."""
         stats = self.cd_gradients(rbm, v0, k=k, sample_visible=sample_visible)
         rbm.apply_update(stats, learning_rate, workspace=self._coord_ws)
         return stats
 
-    # ------------------------------------------------------------------
-    # deep network (supervised fine-tuning)
-    # ------------------------------------------------------------------
-    def supervised_gradients(
-        self, network, x: np.ndarray, targets: np.ndarray
-    ) -> Tuple[float, List[Tuple[np.ndarray, np.ndarray]]]:
+    def supervised_gradients(self, network, x: np.ndarray, targets: np.ndarray):
         """Data-parallel back-propagation through a :class:`~repro.nn.mlp.DeepNetwork`.
 
         Matches the serial full-batch gradient to ≤1e-10 (losses and the
         per-layer weight-decay terms all carry shard weights summing to
         one).  Gradients land in engine accumulators.
         """
-        self._check_open()
-        x = self._as_batch(x, network.n_in, "x")
-        targets = self._as_batch(targets, network.n_out, "targets")
-        if targets.shape[0] != x.shape[0]:
-            raise ConfigurationError(
-                f"x has {x.shape[0]} rows but targets has {targets.shape[0]}"
-            )
-        m = x.shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        results = self._map_shards(
-            self._mlp_task, x,
-            [(network, x[start:stop], targets[start:stop]) for start, stop in shards],
-        )
-        fault_point(SITE_ENGINE_REDUCE, kind="mlp")
-        loss = float(sum(w * r[0] for w, r in zip(weights, results)))
-        reduced: List[Tuple[np.ndarray, np.ndarray]] = []
-        for li, layer in enumerate(network.layers):
-            gw = self._reduce(
-                [r[1][li][0] for r in results], weights,
-                self._accumulator(f"mlp.gw{li}", layer.w.shape),
-            )
-            gb = self._reduce(
-                [r[1][li][1] for r in results], weights,
-                self._accumulator(f"mlp.gb{li}", layer.b.shape),
-            )
-            reduced.append((gw, gb))
-        self.n_steps += 1
-        return loss, reduced
-
-    @staticmethod
-    def _mlp_task(
-        slot: _WorkerSlot | _InlineSlot, network, x: np.ndarray, targets: np.ndarray
-    ):
-        fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind="mlp")
-        loss, grads = network.gradients_into(x, targets, slot.workspace)
-        parked = []
-        for li, (gw, gb) in enumerate(grads):
-            pw = slot.out(f"mlp.gw{li}", gw.shape)
-            pb = slot.out(f"mlp.gb{li}", gb.shape)
-            np.copyto(pw, gw)
-            np.copyto(pb, gb)
-            parked.append((pw, pb))
-        return loss, parked
+        return self.gradients(network, x, targets)
 
     def supervised_step(
         self, network, x: np.ndarray, targets: np.ndarray, learning_rate: float

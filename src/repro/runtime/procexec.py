@@ -3,22 +3,28 @@
 :class:`~repro.runtime.executor.ParallelGradientEngine` parallelises with
 *threads*: it only wins when BLAS releases the GIL inside large GEMMs.
 ``BENCH_parallel.json`` shows the failure mode — at W=2 on small shards
-the thread engine is *slower* than serial.  This module is the fix: the
-same engine protocol, but each worker is a long-lived **process**, so the
-shard compute (including all the pure-Python glue around the kernels)
-runs on its own core regardless of the GIL.
+the thread engine is *slower* than serial.  This module is the fix:
+:class:`ProcessGradientEngine` subclasses the thread engine and keeps its
+coordinator (shards, prepass, slot-order reduce, entry points, RNG
+streams), but each worker is a long-lived **process**, so the shard
+compute (including all the pure-Python glue around the kernels) runs on
+its own core regardless of the GIL.  The subclass overrides only the
+transport and the lifecycle.
 
 Design (CHAOS worker-private gradients + the paper's §IV.A–B synchronized
 update, carried across process boundaries):
 
-* **Shared-memory arena** — parameters, staged mini-batches, the global
-  ρ̂ vector, and every worker's gradient accumulators live in named
-  ``multiprocessing.shared_memory`` segments with ``np.ndarray`` views on
-  both sides.  The hot path pickles *nothing*: only small control dicts
-  (op name, segment indices, shard bounds, an RNG state for CD) cross the
-  pipe.  Models are pickled **once** at registration; the worker rebinds
-  their parameter arrays to the shared segments, so later parameter
-  updates are one coordinator-side ``memcpy`` into the segment.
+* **Shared-memory arena** — parameters, staged mini-batches, a model's
+  prepass statistic (the SAE's global ρ̂), and every worker's gradient
+  pieces live in named ``multiprocessing.shared_memory`` segments with
+  ``np.ndarray`` views on both sides.  The hot path pickles *no arrays*:
+  only small control dicts (``prepass`` or ``shard`` op, segment indices,
+  shard bounds, an RNG state, the call's options) cross the pipe.  Models
+  are pickled **once** at registration; the worker adopts the shared
+  segments through the model's ``bind_parameters``, so later parameter
+  updates are one coordinator-side ``memcpy`` into the segment.  Worker
+  *i* then runs the model's own ``shard_prepass``/``shard_gradients`` —
+  the module knows no model.
 
 * **Slot-bound workers** — shard *i* always runs on worker process *i*
   with a worker-private :class:`~repro.runtime.workspace.Workspace` and a
@@ -31,8 +37,8 @@ update, carried across process boundaries):
 * **Determinism contract** — identical to the thread engine: balanced
   contiguous shards, reduction as a daxpy chain in worker-index order on
   the coordinator, worker *i* draws from RNG stream *i*.  The streams are
-  *owned by the coordinator*: a CD task ships stream *i*'s exact state to
-  worker *i* and the advanced state travels back, so
+  *owned by the coordinator*: a shard task ships stream *i*'s exact state
+  to worker *i* and the advanced state travels back, so
   :meth:`capture_rng_streams`/:meth:`restore_rng_streams` (and therefore
   crash-consistent checkpoint/resume) behave byte-for-byte like the
   thread engine.  At fixed W, thread and process engines produce
@@ -68,23 +74,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
+from repro.runtime.checkpoint import restore_rng
 from repro.runtime.executor import (
     AUTO_SERIAL_CUTOFF,
-    SITE_ENGINE_REDUCE,
     SITE_ENGINE_WORKER,
-    ExecutorClosedError,
     ParallelGradientEngine,
+    _ShardPlan,
 )
-from repro.runtime.linalg import axpy_into
 from repro.runtime.threads import (
     BLAS_ENV_VARS,
     available_cores,
     blas_thread_limit,
-    recommended_blas_threads,
 )
 from repro.runtime.workspace import Workspace
 from repro.testing.faults import fault_point
-from repro.utils.rng import SeedLike, spawn_streams
+from repro.utils.rng import SeedLike
 
 #: Prefix of every segment this module creates (the conftest leak guard
 #: scans ``/dev/shm`` for it after each test).
@@ -93,39 +97,6 @@ SHM_PREFIX = "repro-shm"
 
 class EngineError(ReproError):
     """A worker process died or became unreachable mid-step."""
-
-
-# ---------------------------------------------------------------------------
-# parameter plumbing shared by both sides of the pipe
-# ---------------------------------------------------------------------------
-
-def _param_paths(kind: str, model) -> List[Tuple]:
-    """Attribute paths of ``model``'s trainable arrays, in a fixed order."""
-    if kind == "sae":
-        return [("w1",), ("b1",), ("w2",), ("b2",)]
-    if kind == "rbm":
-        return [("w",), ("b",), ("c",)]
-    if kind == "mlp":
-        paths: List[Tuple] = []
-        for li in range(len(model.layers)):
-            paths.append(("layers", li, "w"))
-            paths.append(("layers", li, "b"))
-        return paths
-    raise ConfigurationError(f"unknown model kind {kind!r}")
-
-
-def _get_param(model, path: Tuple) -> np.ndarray:
-    obj = model
-    for part in path[:-1]:
-        obj = obj[part] if isinstance(part, int) else getattr(obj, part)
-    return getattr(obj, path[-1])
-
-
-def _set_param(model, path: Tuple, value: np.ndarray) -> None:
-    obj = model
-    for part in path[:-1]:
-        obj = obj[part] if isinstance(part, int) else getattr(obj, part)
-    setattr(obj, path[-1], value)
 
 
 # ---------------------------------------------------------------------------
@@ -151,55 +122,34 @@ def _handle(msg: dict, segments: List[np.ndarray], models: Dict[int, object],
     """Execute one control message against the attached segment views.
 
     Pure function of worker-local state — also exercised in-process by the
-    unit tests (``segments`` may then be plain arrays).
+    unit tests (``segments`` may then be plain arrays).  ``prepass`` and
+    ``shard`` run one shard of a registered model's shard protocol (see
+    :meth:`~repro.runtime.executor.ParallelGradientEngine.gradients`).
     """
     op = msg["op"]
     if op == "register":
         model = msg["model_pickle"]
-        for path, idx in msg["params"]:
-            _set_param(model, tuple(path), segments[idx])
+        model.bind_parameters([segments[i] for i in msg["params"]])
         models[msg["model"]] = model
         return None
     if op == "call":
         fn = msg["fn"]
         return fn(*msg.get("args", ()), **msg.get("kwargs", {}))
-    if op not in ("sae_rho", "sae_grad", "cd", "mlp"):
+    if op not in ("prepass", "shard"):
         raise ConfigurationError(f"unknown engine op {op!r}")
     model = models[msg["model"]]
-    if op == "sae_rho":
-        shard = segments[msg["x"]][msg["lo"]:msg["hi"]]
-        model.mean_hidden_into(shard, ws, out=segments[msg["out"]])
+    lo, hi = msg["lo"], msg["hi"]
+    shard = [segments[i][lo:hi] for i in msg["batch"]]
+    if op == "prepass":
+        model.shard_prepass(ws, segments[msg["out"]], *shard)
         return None
-    if op == "sae_grad":
-        from repro.nn.autoencoder import AutoencoderGradients
-
-        shard = segments[msg["x"]][msg["lo"]:msg["hi"]]
-        rho = None if msg["rho"] is None else segments[msg["rho"]]
-        grads = AutoencoderGradients(*(segments[i] for i in msg["out"]))
-        loss, _ = model.gradients_into(shard, ws, out=grads, rho_hat=rho)
-        return float(loss)
-    if op == "cd":
-        from repro.runtime.checkpoint import capture_rng, restore_rng
-
-        gen = restore_rng(msg["rng"])
-        shard = segments[msg["x"]][msg["lo"]:msg["hi"]]
-        stats = model.contrastive_divergence(
-            shard, k=msg["k"], rng=gen,
-            sample_visible=msg["sample_visible"], workspace=ws,
-        )
-        gw, gb, gc = (segments[i] for i in msg["out"])
-        np.copyto(gw, stats.grad_w)
-        np.copyto(gb, stats.grad_b)
-        np.copyto(gc, stats.grad_c)
-        return float(stats.reconstruction_error), capture_rng(gen)
-    # op == "mlp" (the guard above rejects everything else)
-    x = segments[msg["x"]][msg["lo"]:msg["hi"]]
-    targets = segments[msg["t"]][msg["lo"]:msg["hi"]]
-    loss, grads = model.gradients_into(x, targets, ws)
-    for (gw, gb), (iw, ib) in zip(grads, msg["out"]):
-        np.copyto(segments[iw], gw)
-        np.copyto(segments[ib], gb)
-    return float(loss)
+    gen = restore_rng(msg["rng"])
+    pre = None if msg["pre"] is None else segments[msg["pre"]]
+    loss = model.shard_gradients(
+        ws, [segments[i] for i in msg["out"]], *shard, pre=pre, rng=gen,
+        **msg["options"],
+    )
+    return float(loss), gen.bit_generator.state
 
 
 def _worker_main(index: int, conn, blas_threads: Optional[int], name: str) -> None:
@@ -261,8 +211,8 @@ def _worker_main(index: int, conn, blas_threads: Optional[int], name: str) -> No
 class _SharedArena:
     """Coordinator-owned registry of named shared-memory segments.
 
-    Segments are keyed by ``(tag, shape)`` like the thread engine's
-    accumulators and allocated lazily in a global creation order; workers
+    Segments are keyed by ``(tag, shape)`` and allocated lazily in a
+    global creation order; workers
     learn about new segments through per-message descriptor lists and
     address them by index, so steady-state messages carry only integers.
     """
@@ -314,16 +264,22 @@ class _SharedArena:
                 pass
 
 
-class _ModelEntry:
-    """Registration record: one model replicated into worker processes."""
+class _SharedPlan(_ShardPlan):
+    """A shard plan whose slot arrays and parameters live in shared memory.
 
-    __slots__ = ("seq", "kind", "model", "params")
+    The handles are segment indices; ``params`` are ``(index, view)``
+    pairs the coordinator publishes the model's parameters into.
+    """
 
-    def __init__(self, seq: int, kind: str, model, params):
-        self.seq = seq
-        self.kind = kind
-        self.model = model  # strong ref: keeps id(model) stable
-        self.params = params  # [(path, segment_index, coordinator_view)]
+    def __init__(self, model, seq: int, n_slots: int, arena: "_SharedArena"):
+        super().__init__(
+            model, n_slots, lambda tag, shape: arena.get(f"m{seq}.{tag}", shape)
+        )
+        self.seq = seq  # the model's id in the workers' registry
+        self.params = [
+            arena.get(f"m{seq}.p{j}", np.shape(p))
+            for j, p in enumerate(model.parameters())
+        ]
 
 
 @contextmanager
@@ -353,18 +309,18 @@ def _pinned_blas_env(limit: Optional[int]):
                 os.environ[var] = value
 
 
-class ProcessGradientEngine:
+class ProcessGradientEngine(ParallelGradientEngine):
     """Data-parallel gradient execution across W slot-bound worker *processes*.
 
-    Drop-in protocol twin of
-    :class:`~repro.runtime.executor.ParallelGradientEngine`:
-    ``sae_gradients``/``sae_step`` (two-phase global ρ̂), ``cd_gradients``/
-    ``cd_step`` (per-worker RNG streams), ``supervised_gradients``/
-    ``supervised_step``, ``flat_objective``, ``coordinator_workspace``,
-    ``capture_rng_streams``/``restore_rng_streams``, ``submit``/
-    ``run_tasks``, ``close``.  ``pretrain(engine=)``, ``finetune(engine=)``,
-    the :mod:`repro.train` adapters, checkpoint/resume, and the chaos
-    drills run unchanged on either engine.
+    The thread engine's coordinator and entry points — ``gradients``,
+    ``sae_gradients``/``sae_step``, ``cd_gradients``/``cd_step``,
+    ``supervised_gradients``/``supervised_step``, ``flat_objective``,
+    ``coordinator_workspace``, ``capture_rng_streams``/
+    ``restore_rng_streams`` — over a different transport: control
+    messages to worker processes and shared-memory segments.
+    ``pretrain(engine=)``, ``finetune(engine=)``, the :mod:`repro.train`
+    adapters, checkpoint/resume, and the chaos drills run unchanged on
+    either engine.
 
     Parameters
     ----------
@@ -392,37 +348,30 @@ class ProcessGradientEngine:
         name: str = "procengine",
         mp_context: Optional[str] = None,
     ):
-        if n_workers is None:
-            n_workers = available_cores()
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        self.name = str(name)
-        self.n_workers = int(n_workers)
-        if blas_threads == "auto":
-            blas_threads = (
-                recommended_blas_threads(self.n_workers)
-                if self.n_workers > 1 else None
-            )
-        self.blas_threads = blas_threads
         if mp_context is None:
             mp_context = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
         try:
-            ctx = mp.get_context(mp_context)
+            self._ctx = mp.get_context(mp_context)
         except ValueError as exc:
             raise ConfigurationError(f"unknown mp_context {mp_context!r}") from exc
         self.mp_context = mp_context
+        super().__init__(n_workers, blas_threads, seed, name)
 
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def _start(self) -> None:
+        """Start the W worker processes; on any failure, tear down and re-raise."""
         self._arena = _SharedArena(
             f"{SHM_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
         )
         self._procs: List = []
         self._conns: List = []
         self._known: List[int] = []  # per worker: descriptors already sent
-        self._closed = False
         self._broken: Optional[str] = None
-        try:  # pragma: no branch
+        try:
             # Start the resource tracker *before* the workers exist so
             # they inherit (fork) or receive (spawn) its fd and share it.
             # A worker that lazily starts its own tracker would warn about
@@ -437,31 +386,27 @@ class ProcessGradientEngine:
                 self.blas_threads if isinstance(self.blas_threads, int) else None
             ):
                 for i in range(self.n_workers):
-                    parent_conn, child_conn = ctx.Pipe()
-                    proc = ctx.Process(
+                    parent_conn, child_conn = self._ctx.Pipe()
+                    proc = self._ctx.Process(
                         target=_worker_main,
                         args=(i, child_conn, self.blas_threads, self.name),
                         name=f"{self.name}-proc-{i}",
                         daemon=True,
                     )
-                    proc.start()
-                    child_conn.close()
+                    try:
+                        proc.start()
+                    except BaseException:
+                        parent_conn.close()
+                        raise
+                    finally:
+                        child_conn.close()
                     self._procs.append(proc)
                     self._conns.append(parent_conn)
                     self._known.append(0)
         except BaseException:
             self.close()
             raise
-        self._streams = spawn_streams(seed, self.n_workers)
-        self._coord_ws = Workspace(name=f"{self.name}.coordinator")
-        self._acc: Dict[Tuple, np.ndarray] = {}
-        self._models: Dict[int, _ModelEntry] = {}
-        self._rr = 0
-        self.n_steps = 0
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the workers, close the pipes, and unlink every segment."""
         if self._closed:
@@ -483,14 +428,8 @@ class ProcessGradientEngine:
                 conn.close()
             except Exception:  # pragma: no cover
                 pass
-        self._models.clear()
+        self._plans.clear()
         self._arena.close()
-
-    def __enter__(self) -> "ProcessGradientEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self):  # pragma: no cover - GC-timing dependent
         try:
@@ -499,37 +438,12 @@ class ProcessGradientEngine:
         except Exception:
             pass
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def coordinator_workspace(self) -> Workspace:
-        """Coordinator arena for synchronized ``apply_update`` calls."""
-        return self._coord_ws
-
     def _check_open(self) -> None:
-        if self._closed:
-            raise ExecutorClosedError(f"{self.name} has been closed")
+        super()._check_open()
         if self._broken is not None:
             raise EngineError(
                 f"{self.name} is unusable after a worker failure: {self._broken}"
             )
-
-    # ------------------------------------------------------------------
-    # RNG stream snapshots (crash-consistent checkpoint/resume)
-    # ------------------------------------------------------------------
-    def capture_rng_streams(self) -> List[dict]:
-        """Exact positions of the W worker streams (JSON-serialisable)."""
-        from repro.runtime.checkpoint import capture_streams
-
-        return capture_streams(self._streams)
-
-    def restore_rng_streams(self, states: Sequence[dict]) -> None:
-        """Rewind the streams to a :meth:`capture_rng_streams` snapshot."""
-        from repro.runtime.checkpoint import restore_streams_into
-
-        restore_streams_into(self._streams, states)
 
     # ------------------------------------------------------------------
     # control-message transport
@@ -594,8 +508,8 @@ class ProcessGradientEngine:
             except EngineError:
                 pass
 
-    def _run_shard_tasks(self, msgs: Sequence[Tuple[int, dict]], kind: str) -> List:
-        """Dispatch shard tasks (firing ``engine.worker`` per shard), collect.
+    def _dispatch(self, kind: str, msgs: Sequence[dict]) -> List:
+        """Send message *i* to worker *i* (firing ``engine.worker``), collect.
 
         The fault site fires on the coordinator immediately before worker
         *i*'s dispatch — same per-worker visit counting as the thread
@@ -605,7 +519,7 @@ class ProcessGradientEngine:
         """
         sent: List[int] = []
         try:
-            for i, payload in msgs:
+            for i, payload in enumerate(msgs):
                 fault_point(SITE_ENGINE_WORKER, worker=i, kind=kind)
                 self._send(i, payload)
                 sent.append(i)
@@ -649,290 +563,60 @@ class ProcessGradientEngine:
         return self._collect(sent)
 
     # ------------------------------------------------------------------
-    # shard plumbing (identical maths to the thread engine)
+    # the coordinator's transport hooks
     # ------------------------------------------------------------------
-    _shards = ParallelGradientEngine._shards
-    _reduce = staticmethod(ParallelGradientEngine._reduce)
-    _as_batch = staticmethod(ParallelGradientEngine._as_batch)
-
-    def _accumulator(self, tag: str, shape: Tuple[int, ...]) -> np.ndarray:
-        key = (tag, tuple(int(s) for s in shape))
-        arr = self._acc.get(key)
-        if arr is None:
-            arr = np.empty(key[1])
-            self._acc[key] = arr
-        return arr
-
-    def _ensure_model(self, model, kind: str) -> _ModelEntry:
-        """Register ``model`` with every worker (one-time pickle), memoised."""
-        entry = self._models.get(id(model))
-        if entry is not None:
-            return entry
-        seq = len(self._models)
-        params = []
-        for path in _param_paths(kind, model):
-            arr = _get_param(model, path)
-            tag = f"m{seq}." + ".".join(str(p) for p in path)
-            idx, view = self._arena.get(tag, arr.shape)
-            params.append((path, idx, view))
-        entry = _ModelEntry(seq, kind, model, params)
+    def _plan(self, model) -> _SharedPlan:
+        """Register ``model`` with every worker: its one pickle per engine."""
+        plan = _SharedPlan(model, len(self._plans), self.n_workers, self._arena)
         payload = {
             "op": "register",
-            "model": seq,
+            "model": plan.seq,
             "model_pickle": model,
-            "params": [(path, idx) for path, idx, _ in params],
+            "params": [idx for idx, _ in plan.params],
         }
-        sent = []
         for i in range(self.n_workers):
             self._send(i, payload)
-            sent.append(i)
-        self._collect(sent)
-        self._models[id(model)] = entry
-        return entry
+        self._collect(range(self.n_workers))
+        return plan
 
-    def _sync_params(self, entry: _ModelEntry) -> None:
-        """Publish the model's *current* parameters into shared memory.
+    def _stage(self, plan: _SharedPlan, batch: List[np.ndarray]) -> List[int]:
+        """Publish the model's *current* parameters, then stage the batch.
 
         Runs before every gradient call: external mutation — an
         ``apply_update`` on the coordinator, a checkpoint restore that
         rebinds the arrays, ``enable_flat_views`` — must be visible to the
         workers without re-registration.
         """
-        for path, _idx, view in entry.params:
-            np.copyto(view, _get_param(entry.model, path))
+        for (_, view), param in zip(plan.params, plan.model.parameters()):
+            np.copyto(view, param)
+        staged = []
+        for j, part in enumerate(batch):
+            idx, view = self._arena.get(f"batch{j}", part.shape)
+            np.copyto(view, part)
+            staged.append(idx)
+        return staged
 
-    def _stage_batch(self, label: str, x: np.ndarray) -> int:
-        idx, view = self._arena.get(f"batch.{label}", x.shape)
-        np.copyto(view, x)
-        return idx
+    def _run_prepass(self, plan: _SharedPlan, staged, shards) -> None:
+        self._dispatch(plan.pre_kind, [
+            {"op": "prepass", "model": plan.seq, "batch": staged,
+             "lo": lo, "hi": hi, "out": plan.pre_out_ids[i]}
+            for i, (lo, hi) in enumerate(shards)
+        ])
 
-    def _worker_out(self, entry: _ModelEntry, tag: str, worker: int,
-                    shape: Tuple[int, ...]) -> Tuple[int, np.ndarray]:
-        return self._arena.get(f"m{entry.seq}.{tag}.w{worker}", shape)
-
-    # ------------------------------------------------------------------
-    # sparse autoencoder
-    # ------------------------------------------------------------------
-    def sae_gradients(
-        self,
-        model,
-        x: np.ndarray,
-        out=None,
-    ):
-        """Full-batch loss and gradient of ``model`` on ``x``, data-parallel.
-
-        Same contract and same arithmetic as the thread engine's
-        :meth:`~repro.runtime.executor.ParallelGradientEngine.sae_gradients`
-        — two-phase global ρ̂ when the KL penalty is active, shard weights
-        ``mᵢ/m``, in-order daxpy reduction — so the result is bit-identical
-        at fixed W and ≤1e-10 from the serial full-batch gradient.
-        """
-        from repro.nn.autoencoder import AutoencoderGradients
-
-        self._check_open()
-        x = self._as_batch(x, model.n_visible, "x")
-        m = x.shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        entry = self._ensure_model(model, "sae")
-        self._sync_params(entry)
-        xi = self._stage_batch("x", x)
-        h, v = model.n_hidden, model.n_visible
-        if out is None:
-            out = AutoencoderGradients(
-                self._accumulator("sae.w1", (h, v)),
-                self._accumulator("sae.b1", (h,)),
-                self._accumulator("sae.w2", (v, h)),
-                self._accumulator("sae.b2", (v,)),
-            )
-        shapes = ((h, v), (h,), (v, h), (v,))
-        outs = [
-            [self._worker_out(entry, f"g{j}", i, shape)
-             for j, shape in enumerate(shapes)]
-            for i in range(len(shards))
-        ]
-
-        rho_idx: Optional[int] = None
-        if model.cost.sparsity_weight > 0.0 and len(shards) > 1:
-            # Phase A: per-shard hidden means, combined into the batch ρ̂.
-            rhos = [self._worker_out(entry, "rho", i, (h,))
-                    for i in range(len(shards))]
-            self._run_shard_tasks(
-                [
-                    (i, {"op": "sae_rho", "model": entry.seq, "x": xi,
-                         "lo": lo, "hi": hi, "out": rhos[i][0]})
-                    for i, (lo, hi) in enumerate(shards)
-                ],
-                "sae.rho",
-            )
-            rho_idx, rho_view = self._arena.get(f"m{entry.seq}.rho", (h,))
-            self._reduce([view for _, view in rhos], weights, rho_view)
-
-        losses = self._run_shard_tasks(
-            [
-                (i, {"op": "sae_grad", "model": entry.seq, "x": xi,
-                     "lo": lo, "hi": hi, "rho": rho_idx,
-                     "out": [idx for idx, _ in outs[i]]})
-                for i, (lo, hi) in enumerate(shards)
-            ],
-            "sae",
-        )
-        fault_point(SITE_ENGINE_REDUCE, kind="sae")
-        loss = float(sum(w * l for w, l in zip(weights, losses)))
-        for j, target in enumerate((out.w1, out.b1, out.w2, out.b2)):
-            self._reduce([outs[i][j][1] for i in range(len(shards))],
-                         weights, target)
-        self.n_steps += 1
-        return loss, out
-
-    def sae_step(self, model, x: np.ndarray, learning_rate: float) -> float:
-        """One synchronized parallel SGD step; returns the batch loss."""
-        loss, grads = self.sae_gradients(model, x)
-        model.apply_update(grads, learning_rate, workspace=self._coord_ws)
-        return loss
-
-    def flat_objective(self, model) -> Callable:
-        """``objective(theta, batch) -> (loss, grad)`` for :class:`repro.optim.sgd.SGD`."""
-        model.enable_flat_views()
-
-        def objective(theta: np.ndarray, batch: np.ndarray):
-            np.copyto(model._flat_theta, np.asarray(theta, dtype=np.float64).ravel())
-            loss, _ = self.sae_gradients(model, batch, out=model._flat_grad_views)
-            return loss, model._flat_grad
-
-        return objective
-
-    # ------------------------------------------------------------------
-    # RBM contrastive divergence
-    # ------------------------------------------------------------------
-    def cd_gradients(
-        self,
-        rbm,
-        v0: np.ndarray,
-        k: int = 1,
-        sample_visible: bool = False,
-    ):
-        """Data-parallel CD-k statistics with deterministic worker streams.
-
-        Worker *i* receives stream *i*'s exact state, samples its Gibbs
-        chain, and ships the advanced state back; the coordinator's
-        streams therefore track exactly what the thread engine's would,
-        keeping checkpoint capture/restore engine-agnostic.
-        """
-        from repro.nn.rbm import CDStatistics
-        from repro.runtime.checkpoint import capture_rng, restore_rng_into
-
-        self._check_open()
-        v0 = self._as_batch(v0, rbm.n_visible, "v0")
-        m = v0.shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        entry = self._ensure_model(rbm, "rbm")
-        self._sync_params(entry)
-        vi = self._stage_batch("v0", v0)
-        nh, nv = rbm.n_hidden, rbm.n_visible
-        shapes = ((nh, nv), (nv,), (nh,))
-        outs = [
-            [self._worker_out(entry, f"g{j}", i, shape)
-             for j, shape in enumerate(shapes)]
-            for i in range(len(shards))
-        ]
-        results = self._run_shard_tasks(
-            [
-                (i, {"op": "cd", "model": entry.seq, "x": vi,
-                     "lo": lo, "hi": hi, "k": int(k),
-                     "sample_visible": bool(sample_visible),
-                     "rng": capture_rng(self._streams[i]),
-                     "out": [idx for idx, _ in outs[i]]})
-                for i, (lo, hi) in enumerate(shards)
-            ],
-            "rbm",
-        )
-        for i, (_err, state) in enumerate(results):
-            restore_rng_into(self._streams[i], state)
-        fault_point(SITE_ENGINE_REDUCE, kind="rbm")
-        grad_w = self._reduce([outs[i][0][1] for i in range(len(shards))],
-                              weights, self._accumulator("rbm.gw", (nh, nv)))
-        grad_b = self._reduce([outs[i][1][1] for i in range(len(shards))],
-                              weights, self._accumulator("rbm.gb", (nv,)))
-        grad_c = self._reduce([outs[i][2][1] for i in range(len(shards))],
-                              weights, self._accumulator("rbm.gc", (nh,)))
-        err = float(sum(w * r[0] for w, r in zip(weights, results)))
-        self.n_steps += 1
-        return CDStatistics(grad_w, grad_b, grad_c, err)
-
-    def cd_step(
-        self,
-        rbm,
-        v0: np.ndarray,
-        learning_rate: float,
-        k: int = 1,
-        sample_visible: bool = False,
-    ):
-        """One synchronized parallel CD-k update (Eq. 13)."""
-        stats = self.cd_gradients(rbm, v0, k=k, sample_visible=sample_visible)
-        rbm.apply_update(stats, learning_rate, workspace=self._coord_ws)
-        return stats
-
-    # ------------------------------------------------------------------
-    # deep network (supervised fine-tuning)
-    # ------------------------------------------------------------------
-    def supervised_gradients(self, network, x: np.ndarray, targets: np.ndarray):
-        """Data-parallel back-propagation through a :class:`~repro.nn.mlp.DeepNetwork`."""
-        self._check_open()
-        x = self._as_batch(x, network.n_in, "x")
-        targets = self._as_batch(targets, network.n_out, "targets")
-        if targets.shape[0] != x.shape[0]:
-            raise ConfigurationError(
-                f"x has {x.shape[0]} rows but targets has {targets.shape[0]}"
-            )
-        m = x.shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        entry = self._ensure_model(network, "mlp")
-        self._sync_params(entry)
-        xi = self._stage_batch("x", x)
-        ti = self._stage_batch("targets", targets)
-        outs = [
-            [
-                (self._worker_out(entry, f"gw{li}", i, layer.w.shape),
-                 self._worker_out(entry, f"gb{li}", i, layer.b.shape))
-                for li, layer in enumerate(network.layers)
-            ]
-            for i in range(len(shards))
-        ]
-        losses = self._run_shard_tasks(
-            [
-                (i, {"op": "mlp", "model": entry.seq, "x": xi, "t": ti,
-                     "lo": lo, "hi": hi,
-                     "out": [(gw[0], gb[0]) for gw, gb in outs[i]]})
-                for i, (lo, hi) in enumerate(shards)
-            ],
-            "mlp",
-        )
-        fault_point(SITE_ENGINE_REDUCE, kind="mlp")
-        loss = float(sum(w * l for w, l in zip(weights, losses)))
-        reduced: List[Tuple[np.ndarray, np.ndarray]] = []
-        for li, layer in enumerate(network.layers):
-            gw = self._reduce(
-                [outs[i][li][0][1] for i in range(len(shards))], weights,
-                self._accumulator(f"mlp.gw{li}", layer.w.shape),
-            )
-            gb = self._reduce(
-                [outs[i][li][1][1] for i in range(len(shards))], weights,
-                self._accumulator(f"mlp.gb{li}", layer.b.shape),
-            )
-            reduced.append((gw, gb))
-        self.n_steps += 1
-        return loss, reduced
-
-    def supervised_step(
-        self, network, x: np.ndarray, targets: np.ndarray, learning_rate: float
-    ) -> float:
-        """One synchronized parallel back-propagation update; returns loss."""
-        loss, grads = self.supervised_gradients(network, x, targets)
-        network.apply_update(grads, learning_rate, workspace=self._coord_ws)
-        return loss
+    def _run_shards(self, plan: _SharedPlan, staged, shards, pre, options) -> List:
+        """Worker *i* receives stream *i*'s exact state and ships the
+        advanced state back, so the coordinator's streams track exactly
+        what the thread engine's would."""
+        pre_id = None if pre is None else plan.pre_id
+        results = self._dispatch(plan.kind, [
+            {"op": "shard", "model": plan.seq, "batch": staged,
+             "lo": lo, "hi": hi, "out": plan.out_ids[i], "pre": pre_id,
+             "rng": stream.bit_generator.state, "options": options}
+            for i, ((lo, hi), stream) in enumerate(zip(shards, self._streams))
+        ])
+        for stream, (_, state) in zip(self._streams, results):
+            stream.bit_generator.state = state
+        return [loss for loss, _ in results]
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (

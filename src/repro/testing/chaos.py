@@ -55,11 +55,11 @@ def _shapes(quick: bool):
                 ft_hidden=24, ft_epochs=5)
 
 
-def _max_diff(blocks_a, blocks_b, arrays) -> float:
+def _max_diff(blocks_a, blocks_b) -> float:
     worst = 0.0
     for a, b in zip(blocks_a, blocks_b):
-        for name in arrays:
-            worst = max(worst, float(np.abs(getattr(a, name) - getattr(b, name)).max()))
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            worst = max(worst, float(np.abs(pa - pb).max()))
     return worst
 
 
@@ -94,7 +94,7 @@ def _drill_sae_worker_kill(x, sh, seed, ckpt_root: Path) -> dict:
                     "engine.worker", fired, False, "fault did not fire")
     with ParallelGradientEngine(N_WORKERS, blas_threads=None, seed=seed) as eng:
         resumed = fresh().pretrain(x, engine=eng, checkpoint=store, resume_from=store.directory)
-    diff = _max_diff(baseline.blocks, resumed.blocks, ("w1", "b1", "w2", "b2"))
+    diff = _max_diff(baseline.blocks, resumed.blocks)
     return _row("SAE pretrain: kill worker 1 mid-shard, resume", "engine.worker",
                 fired, diff == 0.0, f"max |Δparam| after resume = {diff:.1e}")
 
@@ -121,7 +121,7 @@ def _drill_dbn_reduce_kill(x, sh, seed, ckpt_root: Path) -> dict:
     with ParallelGradientEngine(N_WORKERS, blas_threads=None, seed=seed) as eng:
         resumed = fresh().pretrain(binary, engine=eng, checkpoint=store,
                                    resume_from=store.directory)
-    diff = _max_diff(baseline.blocks, resumed.blocks, ("w", "b", "c"))
+    diff = _max_diff(baseline.blocks, resumed.blocks)
     return _row("DBN pretrain: crash in gradient reduce, resume", "engine.reduce",
                 fired, diff == 0.0, f"max |Δparam| after resume = {diff:.1e}")
 
@@ -245,7 +245,7 @@ def _drill_pipeline_kill(x, sh, seed, ckpt_root: Path, site: str,
         return _row(scenario, site, fired, False, "fault did not fire")
     resumed = fresh().pretrain(x, strategy="pipelined", checkpoint=store,
                                resume_from=store.directory)
-    diff = _max_diff(baseline.blocks, resumed.blocks, ("w1", "b1", "w2", "b2"))
+    diff = _max_diff(baseline.blocks, resumed.blocks)
     return _row(scenario, site, fired, diff == 0.0,
                 f"max |Δparam| after resume = {diff:.1e}")
 

@@ -160,6 +160,23 @@ class TestCDDeterminism:
         assert float(np.max(np.abs(stats.grad_w - gw))) <= TOL
         assert abs(stats.reconstruction_error - err) <= TOL
 
+    def test_cd_options_reach_every_shard(self):
+        # k and sample_visible travel to the shards as call options.
+        rbm = RBM(9, 5, seed=3)
+        x = np.random.default_rng(8).random((19, 9))
+        with ParallelGradientEngine(n_workers=3, blas_threads=None, seed=42) as eng:
+            shards = eng._shards(x.shape[0])
+            stats = eng.cd_gradients(rbm, x, k=2, sample_visible=True)
+        streams = spawn_streams(42, 3)
+        ws = Workspace()
+        gw = np.zeros_like(rbm.w)
+        for i, (start, stop) in enumerate(shards):
+            s = rbm.contrastive_divergence(
+                x[start:stop], k=2, rng=streams[i], sample_visible=True, workspace=ws
+            )
+            gw += (stop - start) / x.shape[0] * s.grad_w
+        assert float(np.max(np.abs(stats.grad_w - gw))) <= TOL
+
     def test_cd_step_updates_model(self):
         rbm = RBM(9, 5, seed=3)
         w_before = rbm.w.copy()
@@ -276,14 +293,6 @@ def _step(eng, model, x, rng):
         eng.supervised_step(model, x, targets, 0.1)
 
 
-def _params(model):
-    if isinstance(model, SparseAutoencoder):
-        return [model.w1, model.b1, model.w2, model.b2]
-    if isinstance(model, RBM):
-        return [model.w, model.b, model.c]
-    return [a for layer in model.layers for a in (layer.w, layer.b)]
-
-
 def _run_steps(kind, n_workers):
     """Three ragged steps and a final gradient; everything a run produces."""
     model = _model(kind)
@@ -293,13 +302,13 @@ def _run_steps(kind, n_workers):
             _step(eng, model, rng.random((rows, 8)), rng)
         results = [np.copy(r) for r in _gradients(eng, model, rng.random((19, 8)), rng)]
         streams = eng.capture_rng_streams()
-    return results + [np.copy(p) for p in _params(model)], streams
+    return results + [np.copy(p) for p in model.parameters()], streams
 
 
-def _record_threads(monkeypatch, *task_names):
-    """Wrap the named shard tasks to log ``(slot index, thread ident)``."""
+def _record_threads(monkeypatch):
+    """Wrap the shard tasks (prepass included) to log ``(slot index, thread ident)``."""
     seen = []
-    for name in task_names:
+    for name in ("_prepass_task", "_shard_task"):
         original = getattr(ParallelGradientEngine, name)
 
         def recording(slot, *args, _original=original):
@@ -308,13 +317,6 @@ def _record_threads(monkeypatch, *task_names):
 
         monkeypatch.setattr(ParallelGradientEngine, name, staticmethod(recording))
     return seen
-
-
-TASKS = {
-    "sae": ("_sae_rho_task", "_sae_grad_task"),
-    "rbm": ("_cd_task",),
-    "mlp": ("_mlp_task",),
-}
 
 
 class TestShardDispatch:
@@ -334,7 +336,7 @@ class TestShardDispatch:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_shards_run_where_the_cutoff_says(self, kind, monkeypatch):
-        seen = _record_threads(monkeypatch, *TASKS[kind])
+        seen = _record_threads(monkeypatch)
         rows_at_cutoff = executor.AUTO_SERIAL_CUTOFF // 8
         rng = np.random.default_rng(0)
         caller = threading.get_ident()
@@ -351,7 +353,7 @@ class TestShardDispatch:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_single_worker_never_hands_off(self, kind, monkeypatch, threaded_dispatch):
-        seen = _record_threads(monkeypatch, *TASKS[kind])
+        seen = _record_threads(monkeypatch)
         rng = np.random.default_rng(0)
         with ParallelGradientEngine(1, blas_threads=None, seed=1) as eng:
             _gradients(eng, _model(kind), rng.random((4096, 8)), rng)
@@ -367,15 +369,14 @@ class TestShardDispatch:
         if threaded:
             request.getfixturevalue("threaded_dispatch")
         error = RuntimeError("shard 1 failed")
-        task = TASKS[kind][-1]
-        original = getattr(ParallelGradientEngine, task)
+        original = ParallelGradientEngine._shard_task
 
         def failing(slot, *args):
             if slot.index == 1:
                 raise error
             return original(slot, *args)
 
-        monkeypatch.setattr(ParallelGradientEngine, task, staticmethod(failing))
+        monkeypatch.setattr(ParallelGradientEngine, "_shard_task", staticmethod(failing))
         rng = np.random.default_rng(0)
         with ParallelGradientEngine(2, blas_threads=None, seed=1) as eng:
             with pytest.raises(RuntimeError) as info:
@@ -388,7 +389,7 @@ class TestShardDispatch:
         # Shard 0 fails at once while shard 1 is still running: the caller
         # must not see the error before slot 1 has finished writing.
         finished = threading.Event()
-        original = ParallelGradientEngine._cd_task
+        original = ParallelGradientEngine._shard_task
 
         def task(slot, *args):
             if slot.index == 0:
@@ -398,7 +399,7 @@ class TestShardDispatch:
             finished.set()
             return result
 
-        monkeypatch.setattr(ParallelGradientEngine, "_cd_task", staticmethod(task))
+        monkeypatch.setattr(ParallelGradientEngine, "_shard_task", staticmethod(task))
         with ParallelGradientEngine(2, blas_threads=None, seed=1) as eng:
             with pytest.raises(RuntimeError, match="shard 0 failed"):
                 eng.cd_gradients(RBM(8, 5, seed=0), np.ones((12, 8)))

@@ -24,7 +24,6 @@ from repro.runtime.procexec import (
     EngineError,
     ProcessGradientEngine,
     _handle,
-    _param_paths,
     make_engine,
     process_engine_available,
 )
@@ -164,6 +163,19 @@ class TestCDDeterminism:
         (s_t, streams_t), (s_p, streams_p) = results
         np.testing.assert_array_equal(s_p.grad_w, s_t.grad_w)
         assert s_p.reconstruction_error == s_t.reconstruction_error
+        assert streams_p == streams_t
+
+    def test_cd_options_bit_identical_to_thread_engine(self):
+        # k and sample_visible cross the pipe as the shard message's options.
+        x = np.random.default_rng(8).random((19, 9))
+        results = []
+        for cls in (ParallelGradientEngine, ProcessGradientEngine):
+            rbm = RBM(9, 5, seed=3)
+            with cls(n_workers=3, blas_threads=None, seed=42) as eng:
+                stats = eng.cd_gradients(rbm, x, k=2, sample_visible=True)
+                results.append((stats, eng.capture_rng_streams()))
+        (s_t, streams_t), (s_p, streams_p) = results
+        np.testing.assert_array_equal(s_p.grad_w, s_t.grad_w)
         assert streams_p == streams_t
 
     def test_capture_restore_streams_replays_exactly(self):
@@ -325,6 +337,29 @@ class TestFailureContainment:
         assert eng.closed
 
 
+    def test_worker_start_failure_propagates_and_cleans_up(self, monkeypatch):
+        # The second worker's start raises: the caller must see that error
+        # (not a teardown AttributeError), the first worker must be joined,
+        # and the conftest guards check no segment or thread is left over.
+        process_cls = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        ).Process
+        original = process_cls.start
+        started = []
+
+        def start(proc):
+            if started:
+                raise OSError("cannot start worker 1")
+            original(proc)
+            started.append(proc)
+
+        monkeypatch.setattr(process_cls, "start", start)
+        with pytest.raises(OSError, match="cannot start worker 1"):
+            ProcessGradientEngine(n_workers=3, blas_threads=None)
+        assert len(started) == 1
+        assert started[0].exitcode is not None  # joined, not orphaned
+
+
 class TestSpawnSafety:
     def test_spawn_context_parity(self, tmp_path):
         # Spawn re-imports __main__ from its file path, so this must run
@@ -366,12 +401,12 @@ class TestMakeEngine:
         assert make_engine("serial") is None
         eng = make_engine("thread", n_workers=2, blas_threads=None)
         try:
-            assert isinstance(eng, ParallelGradientEngine)
+            assert type(eng) is ParallelGradientEngine
         finally:
             eng.close()
         eng = make_engine("process", n_workers=2, blas_threads=None)
         try:
-            assert isinstance(eng, ProcessGradientEngine)
+            assert type(eng) is ProcessGradientEngine
         finally:
             eng.close()
 
@@ -398,7 +433,7 @@ class TestMakeEngine:
         eng = make_engine("auto", n_workers=2, blas_threads=None,
                           problem_size=1 << 20)
         try:
-            assert isinstance(eng, ProcessGradientEngine)
+            assert type(eng) is ProcessGradientEngine
         finally:
             eng.close()
 
@@ -409,7 +444,7 @@ class TestMakeEngine:
         monkeypatch.setattr(freethreading, "gil_enabled", lambda: False)
         eng = make_engine("auto", n_workers=2, blas_threads=None)
         try:
-            assert isinstance(eng, ParallelGradientEngine)
+            assert type(eng) is ParallelGradientEngine
         finally:
             eng.close()
 
@@ -420,7 +455,7 @@ class TestMakeEngine:
         monkeypatch.setattr(procexec, "process_engine_available", lambda: False)
         eng = make_engine("auto", n_workers=2, blas_threads=None)
         try:
-            assert isinstance(eng, ParallelGradientEngine)
+            assert type(eng) is ParallelGradientEngine
         finally:
             eng.close()
 
@@ -430,27 +465,30 @@ class TestWorkerInternals:
     # dispatcher is a pure function of its arguments, so exercise it
     # in-process against plain arrays.
 
-    def test_param_paths(self):
-        assert _param_paths("sae", None) == [("w1",), ("b1",), ("w2",), ("b2",)]
-        assert _param_paths("rbm", None) == [("w",), ("b",), ("c",)]
+    def test_parameters_come_in_a_fixed_order(self):
+        # The arrays the coordinator registers, publishes and reduces, in
+        # the order every side of the pipe agrees on.
+        sae = _sae(n_visible=4, n_hidden=3)
+        rbm = RBM(4, 3, seed=0)
         net = DeepNetwork([4, 3, 2], head="softmax", seed=0)
-        assert _param_paths("mlp", net) == [
-            ("layers", 0, "w"), ("layers", 0, "b"),
-            ("layers", 1, "w"), ("layers", 1, "b"),
+        expected = [
+            (sae, [sae.w1, sae.b1, sae.w2, sae.b2]),
+            (rbm, [rbm.w, rbm.b, rbm.c]),
+            (net, [net.layers[0].w, net.layers[0].b,
+                   net.layers[1].w, net.layers[1].b]),
         ]
-        with pytest.raises(ConfigurationError):
-            _param_paths("transformer", None)
+        for model, arrays in expected:
+            params = model.parameters()
+            assert len(params) == len(arrays)
+            assert all(p is a for p, a in zip(params, arrays))
 
     def test_handle_register_rebinds_params_to_segments(self):
         model = _sae(n_visible=4, n_hidden=3)
-        segments = [
-            np.zeros_like(model.w1), np.zeros_like(model.b1),
-            np.zeros_like(model.w2), np.zeros_like(model.b2),
-        ]
+        segments = [np.zeros_like(p) for p in model.parameters()]
         models = {}
         msg = {
             "op": "register", "model": 0, "model_pickle": model,
-            "params": [(path, i) for i, path in enumerate(_param_paths("sae", model))],
+            "params": list(range(len(segments))),
         }
         assert _handle(msg, segments, models, Workspace()) is None
         assert models[0].w1 is segments[0]
@@ -466,12 +504,13 @@ class TestWorkerInternals:
         model = _sae(sparsity=0.0, n_visible=5, n_hidden=3)
         x = np.random.default_rng(0).random((6, 5))
         loss_ref, g_ref = model.gradients(x)
-        out = [np.empty_like(g_ref.w1), np.empty_like(g_ref.b1),
-               np.empty_like(g_ref.w2), np.empty_like(g_ref.b2)]
+        out = [np.empty_like(p) for p in model.parameters()]
         segments = [x] + out
         models = {0: model}
-        msg = {"op": "sae_grad", "model": 0, "x": 0, "lo": 0, "hi": 6,
-               "rho": None, "out": [1, 2, 3, 4]}
-        loss = _handle(msg, segments, models, Workspace())
+        state = np.random.default_rng(1).bit_generator.state
+        msg = {"op": "shard", "model": 0, "batch": [0], "lo": 0, "hi": 6,
+               "pre": None, "out": [1, 2, 3, 4], "rng": state, "options": {}}
+        loss, state_after = _handle(msg, segments, models, Workspace())
         assert abs(loss - loss_ref) <= TOL
         assert float(np.max(np.abs(out[0] - g_ref.w1))) <= TOL
+        assert state_after == state  # an SAE shard draws nothing

@@ -77,6 +77,19 @@ class TestDetection:
         violations = check_layering.check(tmp_path)
         assert [v[4] for v in violations] == ["repro.core"]
 
+    def test_runtime_must_not_import_nn(self, tmp_path):
+        """The engines take per-shard maths from the model's shard
+        protocol; a model import in repro.runtime, even a lazy one, would
+        put the per-model engine code back."""
+        root = self._pkg(
+            tmp_path, "repro.runtime", "executor.py",
+            "def f():\n    from repro.nn.rbm import CDStatistics\n",
+        )
+        violations = check_layering.check(root)
+        assert [(v[2], v[3], v[4]) for v in violations] == [
+            ("repro.runtime.executor", "repro.nn.rbm", "repro.nn")
+        ]
+
     def _pkg(self, tmp_path, dotted, filename, body):
         pkg = tmp_path / Path(*dotted.split("."))
         pkg.mkdir(parents=True)

@@ -13,6 +13,9 @@ fails the build when a package reaches *down* the wrong way:
   opaque ``StagePlan`` objects, and the model-aware stage construction
   lives on the nn side (``StackedNetwork._pretrain_pipelined``);
 * ``repro.nn`` must not import ``repro.core`` / ``repro.serve``;
+* ``repro.runtime`` must not import ``repro.nn`` — the gradient engines
+  run any model through its shard protocol (``shard_gradients`` and
+  friends on the model), so the per-shard maths lives with the model;
 * ``repro.data`` imports nothing above the utility layer;
 * ``repro.serve`` must not import ``repro.cluster`` — the cluster tier
   composes engines, a single engine never knows it is replicated;
@@ -56,6 +59,9 @@ FORBIDDEN = {
         "repro.core",
         "repro.serve",
         "repro.cluster",
+    ),
+    "repro.runtime": (
+        "repro.nn",
     ),
     "repro.data": (
         "repro.nn",
