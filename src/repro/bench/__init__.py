@@ -6,6 +6,9 @@ workload definition in :mod:`repro.bench.workloads`, a driver in
 :mod:`repro.bench.harness` that emits the same rows/series the paper
 reports, and a text formatter in :mod:`repro.bench.report`.  The
 ``benchmarks/`` directory wraps these in pytest-benchmark entry points.
+The six benches with committed ``BENCH_*.json`` baselines are declared
+in :mod:`repro.bench.benches` and checked by :mod:`repro.bench.gate`;
+neither is imported here.
 """
 
 from repro.bench.workloads import (

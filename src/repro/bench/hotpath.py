@@ -19,13 +19,10 @@ even when absolute milliseconds are not.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.errors import ConfigurationError
 
 SCHEMA_ID = "repro.bench_hotpath/v1"
 
@@ -35,11 +32,9 @@ PAPER_SHAPES: Tuple[Tuple[int, int, int], ...] = ((100, 4096, 1024),)
 #: Small shape for CI smoke runs (seconds, not minutes).
 QUICK_SHAPES: Tuple[Tuple[int, int, int], ...] = ((64, 512, 256),)
 
-#: Equivalence gate for the fused kernels (ISSUE acceptance criterion).
+#: Equivalence bound on ``max_abs_diff``.  Reports record it as
+#: ``equiv_tol``; validation uses this constant, never the report's copy.
 EQUIV_TOL = 1e-10
-
-_ROW_KEYS = ("model", "batch", "n_visible", "n_hidden")
-_ROW_FIELDS = _ROW_KEYS + ("ref_ms", "fused_ms", "speedup", "max_abs_diff")
 
 
 def _bench_pair(ref, fused, trials: int, inner: int) -> Tuple[float, float]:
@@ -170,73 +165,3 @@ def run_hotpath_bench(
         "rows": rows,
     }
 
-
-def validate_report(report: Dict) -> None:
-    """Raise :class:`ConfigurationError` unless ``report`` matches the schema."""
-    if not isinstance(report, dict):
-        raise ConfigurationError("hotpath report must be a dict")
-    if report.get("schema") != SCHEMA_ID:
-        raise ConfigurationError(
-            f"hotpath report schema must be {SCHEMA_ID!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("hotpath report must carry a non-empty 'rows' list")
-    for i, row in enumerate(rows):
-        for field in _ROW_FIELDS:
-            if field not in row:
-                raise ConfigurationError(f"rows[{i}] missing field {field!r}")
-        for field in ("ref_ms", "fused_ms", "speedup"):
-            if not (isinstance(row[field], (int, float)) and row[field] > 0):
-                raise ConfigurationError(
-                    f"rows[{i}][{field!r}] must be a positive number"
-                )
-        if row["max_abs_diff"] > report.get("equiv_tol", EQUIV_TOL):
-            raise ConfigurationError(
-                f"rows[{i}] equivalence violated: max_abs_diff "
-                f"{row['max_abs_diff']:g} > {report.get('equiv_tol', EQUIV_TOL):g}"
-            )
-
-
-def compare_to_baseline(
-    report: Dict, baseline: Dict, max_regression: float = 0.25
-) -> List[str]:
-    """Flag rows whose *speedup ratio* regressed vs the committed baseline.
-
-    Ratios (not milliseconds) are compared, so the check is meaningful on
-    any machine.  Returns a list of human-readable failure strings; an
-    empty list means the report is within ``max_regression`` everywhere.
-    """
-    validate_report(report)
-    validate_report(baseline)
-    base_by_key = {
-        tuple(row[k] for k in _ROW_KEYS): row for row in baseline["rows"]
-    }
-    failures: List[str] = []
-    for row in report["rows"]:
-        key = tuple(row[k] for k in _ROW_KEYS)
-        base = base_by_key.get(key)
-        if base is None:
-            continue  # new shape, nothing to regress against
-        floor = base["speedup"] * (1.0 - max_regression)
-        if row["speedup"] < floor:
-            failures.append(
-                f"{row['model']} {key[1:]}: speedup {row['speedup']:.2f}x "
-                f"< floor {floor:.2f}x (baseline {base['speedup']:.2f}x, "
-                f"allowed regression {max_regression:.0%})"
-            )
-    return failures
-
-
-def load_report(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_report(report: Dict, path: str) -> str:
-    validate_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path

@@ -29,8 +29,9 @@ Speedup gates are machine- and engine-aware: every worker row is tagged
 ``expected_scaling`` (``n_cores >= n_workers`` at measurement time —
 a single-core host *cannot* exhibit compute-parallel speedup, and its
 W=2 rows would otherwise read like regressions).  Gates and baseline
-comparisons skip untagged rows **explicitly**, reporting a note per
-skip, never silently.  Thread rows gate on ``speedup`` (the historical
+fences skip untagged rows **explicitly**, reporting a note per skip,
+never silently (:data:`repro.bench.benches.PARALLEL` declares them).
+Thread rows gate on ``speedup`` (the historical
 contract), process rows gate on ``vs_serial`` (the process engine must
 beat *serial*, not just its own W=1).  The prefetch gate binds
 everywhere — overlapping a sleeping loader needs no second core.
@@ -39,13 +40,12 @@ Metadata records the concurrency regime of the measurement:
 ``gil_enabled``/``free_threaded`` (PEP 703 audit, see
 :mod:`repro.runtime.freethreading`) and ``blas_budget_active`` (whether
 BLAS pools were actually cappable — threadpoolctl loaded, or the env
-fallback pinned before NumPy import).  ``validate_report`` rejects a
-report claiming threadpoolctl was importable but budgeting inactive.
+fallback pinned before NumPy import).  Validation rejects a report
+claiming threadpoolctl was importable but budgeting inactive.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,20 +63,13 @@ PAPER_SHAPES: Tuple[Tuple[int, int, int], ...] = ((100, 4096, 1024),)
 #: across two workers leaves each shard with meaningful GEMMs.
 QUICK_SHAPES: Tuple[Tuple[int, int, int], ...] = ((128, 512, 256),)
 
-#: Equivalence gate: parallel reduction vs serial gradients (ISSUE 3).
+#: Equivalence bound: parallel reduction vs serial gradients.  Reports
+#: record it as ``equiv_tol``; validation uses this constant.
 EQUIV_TOL = 1e-10
-
-#: Speedup floor enforced by the CI gate (W=2 and prefetch rows).
-MIN_SPEEDUP = 1.3
 
 #: Engine backends measured by default (process is dropped with a
 #: metadata note on platforms without POSIX shared memory).
 ENGINES: Tuple[str, ...] = ("thread", "process")
-
-_WORKER_KEYS = (
-    "kind", "engine", "model", "batch", "n_visible", "n_hidden", "n_workers"
-)
-_PREFETCH_KEYS = ("kind", "n_chunks", "n_buffers", "batch", "n_visible", "n_hidden")
 
 
 def _time_min(fn, trials: int, inner: int) -> float:
@@ -97,7 +90,7 @@ def blas_budget_active() -> bool:
 
     True when threadpoolctl is importable (limits apply to live pools) or
     when every BLAS env knob was pinned — which only bites if it happened
-    before NumPy loaded, as ``benchmarks/bench_parallel.py`` does.
+    before NumPy loaded, as ``benchmarks/bench.py parallel`` does.
     """
     from repro.runtime.threads import BLAS_ENV_VARS, HAVE_THREADPOOLCTL
 
@@ -320,199 +313,3 @@ def run_parallel_bench(
         "rows": rows,
     }
 
-
-# ---------------------------------------------------------------------------
-# schema validation and gates
-# ---------------------------------------------------------------------------
-
-def _row_key(row: Dict) -> Tuple:
-    keys = _WORKER_KEYS if row.get("kind") == "workers" else _PREFETCH_KEYS
-    return tuple(row.get(k) for k in keys)
-
-
-def _gate_metric(row: Dict) -> Tuple[str, float]:
-    """Which ratio a worker row is gated (and baseline-compared) on."""
-    if row.get("kind") == "workers" and row.get("engine") == "process":
-        return "vs_serial", row["vs_serial"]
-    return "speedup", row["speedup"]
-
-
-def validate_report(report: Dict) -> None:
-    """Raise :class:`ConfigurationError` unless ``report`` matches the schema."""
-    if not isinstance(report, dict):
-        raise ConfigurationError("parallel report must be a dict")
-    if report.get("schema") != SCHEMA_ID:
-        raise ConfigurationError(
-            f"parallel report schema must be {SCHEMA_ID!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if not (isinstance(report.get("n_cores"), int) and report["n_cores"] >= 1):
-        raise ConfigurationError("parallel report must record a positive 'n_cores'")
-    for flag in ("gil_enabled", "free_threaded", "blas_budget_active"):
-        if not isinstance(report.get(flag), bool):
-            raise ConfigurationError(
-                f"parallel report must record boolean {flag!r}"
-            )
-    if report.get("have_threadpoolctl") and not report["blas_budget_active"]:
-        raise ConfigurationError(
-            "report claims threadpoolctl is available but BLAS budgeting "
-            "inactive — the budget must be asserted when the tool is present"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("parallel report must carry a non-empty 'rows' list")
-    tol = report.get("equiv_tol", EQUIV_TOL)
-    kinds = set()
-    engines_seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in ("workers", "prefetch"):
-            raise ConfigurationError(f"rows[{i}] has unknown kind {kind!r}")
-        kinds.add(kind)
-        if kind == "workers":
-            if row.get("engine") not in ENGINES:
-                raise ConfigurationError(
-                    f"rows[{i}] has unknown engine {row.get('engine')!r}"
-                )
-            engines_seen.add(row["engine"])
-        required = (
-            _WORKER_KEYS + ("ms", "serial_ms", "speedup", "vs_serial", "max_abs_diff")
-            if kind == "workers"
-            else _PREFETCH_KEYS + ("serial_ms", "overlapped_ms", "speedup", "max_abs_diff")
-        )
-        for field in required:
-            if field not in row:
-                raise ConfigurationError(f"rows[{i}] missing field {field!r}")
-        if kind == "workers" and not isinstance(row.get("expected_scaling"), bool):
-            raise ConfigurationError(
-                f"rows[{i}] must record boolean 'expected_scaling' "
-                f"(n_cores >= n_workers at measurement time)"
-            )
-        timing_fields = (
-            ("ms", "serial_ms", "vs_serial")
-            if kind == "workers"
-            else ("serial_ms", "overlapped_ms")
-        )
-        for field in timing_fields + ("speedup",):
-            if not (isinstance(row[field], (int, float)) and row[field] > 0):
-                raise ConfigurationError(
-                    f"rows[{i}][{field!r}] must be a positive number"
-                )
-        if row["max_abs_diff"] > tol:
-            raise ConfigurationError(
-                f"rows[{i}] equivalence violated: max_abs_diff "
-                f"{row['max_abs_diff']:g} > {tol:g}"
-            )
-    if kinds != {"workers", "prefetch"}:
-        raise ConfigurationError(
-            f"parallel report must carry both row kinds, got {sorted(kinds)}"
-        )
-    if "thread" not in engines_seen:
-        raise ConfigurationError(
-            "parallel report must carry thread-engine worker rows"
-        )
-
-
-def enforce_gates(report: Dict, min_speedup: float = MIN_SPEEDUP) -> Tuple[List[str], List[str]]:
-    """Apply the speedup floors; returns ``(failures, skipped_notes)``.
-
-    * prefetch rows must reach ``min_speedup`` on every machine (overlap
-      with a sleeping loader does not need a second core);
-    * ``n_workers >= 2`` rows must reach ``min_speedup`` only when tagged
-      ``expected_scaling`` (measured with at least one core per worker) —
-      other rows are recorded but the gate is reported as skipped, never
-      silently dropped.  Thread rows gate on ``speedup`` (vs the same
-      engine at W=1); process rows gate on ``vs_serial`` (the process
-      engine must beat the engine-free serial step, the claim this
-      backend exists to make).
-    """
-    validate_report(report)
-    failures: List[str] = []
-    skipped: List[str] = []
-    for row in report["rows"]:
-        if row["kind"] == "workers":
-            if row["n_workers"] < 2:
-                continue
-            metric, value = _gate_metric(row)
-            label = (
-                f"{row['engine']} workers W={row['n_workers']} "
-                f"({row['batch']},{row['n_visible']}->{row['n_hidden']})"
-            )
-            if not row["expected_scaling"]:
-                skipped.append(
-                    f"{label}: {metric} gate skipped — row tagged "
-                    f"expected_scaling=false (measured on "
-                    f"{report['n_cores']} core(s) < {row['n_workers']} "
-                    f"workers)"
-                )
-            elif value < min_speedup:
-                failures.append(
-                    f"{label}: {metric} {value:.2f}x < required "
-                    f"{min_speedup:.2f}x"
-                )
-        else:
-            if row["speedup"] < min_speedup:
-                failures.append(
-                    f"prefetch ({row['n_chunks']} chunks, "
-                    f"{row['n_buffers']} buffers): speedup "
-                    f"{row['speedup']:.2f}x < required {min_speedup:.2f}x"
-                )
-    return failures, skipped
-
-
-def compare_to_baseline(
-    report: Dict, baseline: Dict, max_regression: float = 0.25
-) -> Tuple[List[str], List[str]]:
-    """Flag rows whose gated ratio regressed vs the committed baseline.
-
-    Returns ``(failures, skipped_notes)``.  A worker row is only compared
-    when **both** the current and the baseline row are tagged
-    ``expected_scaling`` (an under-cored measurement's ratios hover
-    around 1.0 and carry no regression signal) — skipped rows are
-    reported with a note naming which side lacked scaling, never dropped
-    silently.  Prefetch rows are always compared.  Each row is compared
-    on the same metric its gate uses (:func:`_gate_metric`).
-    """
-    validate_report(report)
-    validate_report(baseline)
-    base_by_key = {_row_key(row): row for row in baseline["rows"]}
-    failures: List[str] = []
-    skipped: List[str] = []
-    for row in report["rows"]:
-        base = base_by_key.get(_row_key(row))
-        if base is None:
-            continue  # new shape/engine, nothing to regress against
-        metric, value = _gate_metric(row)
-        label = f"{row['kind']} {_row_key(row)[1:]}"
-        if row["kind"] == "workers" and not (
-            row["expected_scaling"] and base["expected_scaling"]
-        ):
-            source = "report" if not row["expected_scaling"] else "baseline"
-            skipped.append(
-                f"{label}: baseline comparison skipped — {source} row "
-                f"tagged expected_scaling=false (measured on fewer cores "
-                f"than workers)"
-            )
-            continue
-        floor = base[metric] * (1.0 - max_regression)
-        if value < floor:
-            failures.append(
-                f"{label}: {metric} "
-                f"{value:.2f}x < floor {floor:.2f}x "
-                f"(baseline {base[metric]:.2f}x, allowed regression "
-                f"{max_regression:.0%})"
-            )
-    return failures, skipped
-
-
-def load_report(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_report(report: Dict, path: str) -> str:
-    validate_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path

@@ -20,27 +20,20 @@ Two row kinds, matching the two claims of Santara et al. (arXiv:1603.02836):
   train on the evolving representation and may differ, but not by much.
   These rows gate on every machine — convergence does not need cores.
 
-``repro pipeline-bench`` renders the committed ``BENCH_pipeline.json``;
-``benchmarks/bench_pipeline.py`` regenerates it and applies the gates.
+``benchmarks/bench.py pipeline`` runs it and applies the gates
+(:data:`repro.bench.benches.PIPELINE`).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 SCHEMA_ID = "repro.bench_pipeline/v1"
-
-#: Wall-clock floor enforced on >= 2-core machines (ISSUE 8).
-MIN_SPEEDUP = 1.3
-
-#: Allowed speedup regression vs the committed baseline in CI.
-MAX_REGRESSION = 0.25
 
 #: Relative tolerance on each layer's final reconstruction error,
 #: pipelined vs greedy.  Upper layers legitimately differ (they train on
@@ -53,10 +46,6 @@ CONV_TOL = 0.1
 #: so the pipeline's stage overlap is not bottlenecked by one stage.
 QUICK_SHAPE = dict(n=768, n_visible=256, layers=(192, 256), epochs=6, batch=128)
 PAPER_SHAPE = dict(n=2048, n_visible=512, layers=(384, 512), epochs=8, batch=128)
-
-_WALLTIME_KEYS = ("kind", "model", "sync", "n_examples", "n_visible",
-                  "layers", "epochs", "batch")
-_CONV_KEYS = ("kind", "layer")
 
 
 def _specs(shape: Dict):
@@ -151,153 +140,3 @@ def run_pipeline_bench(
         "rows": rows,
     }
 
-
-# ---------------------------------------------------------------------------
-# schema validation and gates
-# ---------------------------------------------------------------------------
-
-def _row_key(row: Dict) -> Tuple:
-    keys = _WALLTIME_KEYS if row.get("kind") == "walltime" else _CONV_KEYS
-    return tuple(
-        tuple(row.get(k)) if isinstance(row.get(k), list) else row.get(k)
-        for k in keys
-    )
-
-
-def validate_report(report: Dict) -> None:
-    """Raise :class:`ConfigurationError` unless ``report`` matches the schema."""
-    if not isinstance(report, dict):
-        raise ConfigurationError("pipeline report must be a dict")
-    if report.get("schema") != SCHEMA_ID:
-        raise ConfigurationError(
-            f"pipeline report schema must be {SCHEMA_ID!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if not (isinstance(report.get("n_cores"), int) and report["n_cores"] >= 1):
-        raise ConfigurationError("pipeline report must record a positive 'n_cores'")
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("pipeline report must carry a non-empty 'rows' list")
-    kinds = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in ("walltime", "convergence"):
-            raise ConfigurationError(f"rows[{i}] has unknown kind {kind!r}")
-        kinds.add(kind)
-        if kind == "walltime":
-            for field in ("greedy_s", "pipelined_s", "speedup"):
-                if not (isinstance(row.get(field), (int, float)) and row[field] > 0):
-                    raise ConfigurationError(
-                        f"rows[{i}][{field!r}] must be a positive number"
-                    )
-            if not isinstance(row.get("expected_scaling"), bool):
-                raise ConfigurationError(
-                    f"rows[{i}] must record boolean 'expected_scaling'"
-                )
-        else:
-            for field in ("greedy_loss", "pipelined_loss", "rel_diff", "tol"):
-                if not isinstance(row.get(field), (int, float)):
-                    raise ConfigurationError(
-                        f"rows[{i}][{field!r}] must be a number"
-                    )
-            if not isinstance(row.get("within_tol"), bool):
-                raise ConfigurationError(
-                    f"rows[{i}] must record boolean 'within_tol'"
-                )
-    if kinds != {"walltime", "convergence"}:
-        raise ConfigurationError(
-            f"pipeline report must carry both row kinds, got {sorted(kinds)}"
-        )
-
-
-def enforce_gates(
-    report: Dict, min_speedup: float = MIN_SPEEDUP
-) -> Tuple[List[str], List[str]]:
-    """Apply the floors; returns ``(failures, skipped_notes)``.
-
-    * walltime rows must reach ``min_speedup`` when ``expected_scaling``
-      is true; on a single-core measurement the gate is reported as
-      explicitly skipped, never silently passed;
-    * convergence rows gate everywhere: ``within_tol`` must hold.
-    """
-    validate_report(report)
-    failures: List[str] = []
-    skipped: List[str] = []
-    for row in report["rows"]:
-        if row["kind"] == "walltime":
-            label = (
-                f"walltime ({row['n_examples']}x{row['n_visible']}, "
-                f"layers {row['layers']}, {row['epochs']} epochs)"
-            )
-            if not row["expected_scaling"]:
-                skipped.append(
-                    f"{label}: speedup gate skipped — measured on "
-                    f"{report['n_cores']} core(s); stage overlap needs >= 2"
-                )
-            elif row["speedup"] < min_speedup:
-                failures.append(
-                    f"{label}: speedup {row['speedup']:.2f}x < required "
-                    f"{min_speedup:.2f}x (ideal {row.get('ideal_speedup')}x)"
-                )
-        else:
-            if not row["within_tol"]:
-                failures.append(
-                    f"convergence layer {row['layer']}: pipelined loss "
-                    f"{row['pipelined_loss']:.6f} vs greedy "
-                    f"{row['greedy_loss']:.6f} — rel diff "
-                    f"{row['rel_diff']:.4f} > tol {row['tol']:.4f}"
-                )
-    return failures, skipped
-
-
-def compare_to_baseline(
-    report: Dict, baseline: Dict, max_regression: float = MAX_REGRESSION
-) -> Tuple[List[str], List[str]]:
-    """Flag walltime speedups that regressed vs the committed baseline.
-
-    Returns ``(failures, skipped_notes)``.  A walltime row is only
-    compared when **both** reports carry ``expected_scaling`` (single-core
-    ratios hover around 1.0 and carry no signal) — skipped rows are
-    reported, never dropped silently.  Convergence rows are gated
-    absolutely by :func:`enforce_gates`, so they are not re-compared here.
-    """
-    validate_report(report)
-    validate_report(baseline)
-    base_by_key = {_row_key(r): r for r in baseline["rows"]}
-    failures: List[str] = []
-    skipped: List[str] = []
-    for row in report["rows"]:
-        if row["kind"] != "walltime":
-            continue
-        base = base_by_key.get(_row_key(row))
-        if base is None:
-            continue  # new shape, nothing to regress against
-        label = f"walltime ({row['n_examples']}x{row['n_visible']})"
-        if not (row["expected_scaling"] and base["expected_scaling"]):
-            source = "report" if not row["expected_scaling"] else "baseline"
-            skipped.append(
-                f"{label}: baseline comparison skipped — {source} was "
-                f"measured without expected scaling (single-core)"
-            )
-            continue
-        floor = base["speedup"] * (1.0 - max_regression)
-        if row["speedup"] < floor:
-            failures.append(
-                f"{label}: speedup {row['speedup']:.2f}x < floor "
-                f"{floor:.2f}x (baseline {base['speedup']:.2f}x, allowed "
-                f"regression {max_regression:.0%})"
-            )
-    return failures, skipped
-
-
-def load_report(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_report(report: Dict, path: str) -> str:
-    validate_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path

@@ -1,4 +1,4 @@
-"""Sharded pre-training driver and the ``shard-bench`` artefact.
+"""Sharded pre-training driver and the shard bench.
 
 Two halves:
 
@@ -22,9 +22,8 @@ Two halves:
   all three model families, a sharded-pre-training resume drill, an
   N=2 scatter-gather serving run that must hold the single-replica
   whole-model p99, and a shard-kill drill that must degrade (never
-  fail).  :func:`enforce_gates` / :func:`compare_to_baseline` give CI
-  hard gates plus a 25 % regression fence, mirroring
-  :mod:`repro.cluster.benchrun`.
+  fail).  :data:`repro.bench.benches.SHARD` declares its hard gates and
+  25 % regression fence.
 
 The parity oracle is deliberately *not* the unmasked full model: a
 shard's lower layers are masked too, so the sharded answer is the
@@ -35,7 +34,6 @@ contract the partitioner guarantees, and what these gates pin.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from typing import Dict, List, Optional, Sequence
 
@@ -752,7 +750,7 @@ def run_shard_kill_drill(
 
 
 # ---------------------------------------------------------------------------
-# the full bench + report plumbing
+# the full bench
 # ---------------------------------------------------------------------------
 
 def run_shard_bench(
@@ -780,133 +778,3 @@ def run_shard_bench(
     )
     return {"schema": SCHEMA, "seed": int(seed), "quick": bool(quick), "rows": rows}
 
-
-_REQUIRED_KEYS = {
-    "parity": ("family", "n_shards", "forward_max_abs", "step_max_abs",
-               "roundtrip_max_abs"),
-    "pretrain": ("n_shards", "exchange_every", "snapshots", "resume_max_abs"),
-    "serving": ("n_shards", "offered", "completed", "failed",
-                "p99_single_ms", "p99_sharded_ms", "p99_ratio",
-                "throughput_rps"),
-    "shard_kill": ("n_shards", "victim_shard", "offered", "completed",
-                   "failed", "deaths", "degraded_requests"),
-}
-
-
-def validate_report(report: Dict[str, object]) -> None:
-    """Schema check; raises :class:`ConfigurationError` on violations."""
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} report: schema={report.get('schema')!r}"
-            if isinstance(report, dict)
-            else "report must be a JSON object"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("report has no rows")
-    seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in _REQUIRED_KEYS:
-            raise ConfigurationError(f"row {i}: unknown kind {kind!r}")
-        seen.add(kind)
-        missing = [k for k in _REQUIRED_KEYS[kind] if k not in row]
-        if missing:
-            raise ConfigurationError(f"row {i} ({kind}): missing keys {missing}")
-    missing_kinds = set(_REQUIRED_KEYS) - seen
-    if missing_kinds:
-        raise ConfigurationError(
-            f"report missing drill kinds: {sorted(missing_kinds)}"
-        )
-
-
-def enforce_gates(
-    report: Dict[str, object],
-    parity_tol: float = PARITY_TOL,
-    max_p99_ratio: float = 1.25,
-) -> List[str]:
-    """The acceptance gates; returns human-readable failures (empty = pass)."""
-    failures: List[str] = []
-    for row in report["rows"]:
-        kind = row["kind"]
-        if kind == "parity":
-            tag = f"parity[{row['family']} N={row['n_shards']}]"
-            for key in ("forward_max_abs", "step_max_abs", "roundtrip_max_abs"):
-                if row[key] > parity_tol:
-                    failures.append(
-                        f"{tag}: {key} {row[key]:.3e} > {parity_tol:g}"
-                    )
-        elif kind == "pretrain":
-            if row["resume_max_abs"] > parity_tol:
-                failures.append(
-                    f"pretrain: resumed run diverged by "
-                    f"{row['resume_max_abs']:.3e} (> {parity_tol:g})"
-                )
-            if row["snapshots"] < 2:
-                failures.append(
-                    f"pretrain: only {row['snapshots']} snapshot(s) written"
-                )
-        elif kind == "serving":
-            if row["failed"]:
-                failures.append(f"serving: {row['failed']} request(s) failed")
-            if row["p99_ratio"] > max_p99_ratio:
-                failures.append(
-                    f"serving: sharded p99 is {row['p99_ratio']:.2f}x the "
-                    f"single-replica whole model (> {max_p99_ratio:.2f}x)"
-                )
-        elif kind == "shard_kill":
-            if row["failed"] or row["deaths"] != 1 or row["degraded_requests"] < 1:
-                failures.append(
-                    f"shard_kill: failed={row['failed']} deaths={row['deaths']} "
-                    f"degraded={row['degraded_requests']} "
-                    "(degraded-mode contract broken)"
-                )
-    return failures
-
-
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Regression fence on the serving headline numbers."""
-    failures: List[str] = []
-
-    def serving_row(rep):
-        for row in rep.get("rows", []):
-            if row.get("kind") == "serving":
-                return row
-        return None
-
-    current, base = serving_row(report), serving_row(baseline)
-    if current is None or base is None:
-        return failures
-    if base["p99_ratio"] > 0:
-        ceiling = base["p99_ratio"] * (1.0 + max_regression)
-        if current["p99_ratio"] > ceiling:
-            failures.append(
-                f"serving p99 ratio: {current['p99_ratio']:.2f} > "
-                f"{ceiling:.2f} (baseline {base['p99_ratio']:.2f}, "
-                f"allowed regression {max_regression:.0%})"
-            )
-    if base["throughput_rps"] > 0:
-        floor = base["throughput_rps"] * (1.0 - max_regression)
-        if current["throughput_rps"] < floor:
-            failures.append(
-                f"serving throughput: {current['throughput_rps']:.0f} rps < "
-                f"{floor:.0f} (baseline {base['throughput_rps']:.0f}, "
-                f"allowed regression {max_regression:.0%})"
-            )
-    return failures
-
-
-def write_report(report: Dict[str, object], path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def load_report(path) -> Dict[str, object]:
-    with open(path) as fh:
-        return json.load(fh)

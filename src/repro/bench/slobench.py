@@ -1,4 +1,4 @@
-"""The ``slo-bench`` artefact: trace-driven workload runs with SLO gates.
+"""The workloads bench: trace-driven workload runs with SLO gates.
 
 Each of the four catalog patterns (:mod:`repro.workloads.patterns`)
 replays against the serving tier it stresses, and the resulting
@@ -20,13 +20,12 @@ replays against the serving tier it stresses, and the resulting
 
 Everything runs on the simulated clock with an analytic
 :class:`~repro.serve.engine.ConstantServiceModel`, so the committed
-``BENCH_workloads.json`` is machine-independent and the CI
-``slo-smoke`` regression gate is exact, not advisory.
+``BENCH_workloads.json`` is machine-independent and its regression
+fence (:data:`repro.bench.benches.WORKLOADS`) is exact, not advisory.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -261,7 +260,7 @@ def run_trace(
 
 
 # ---------------------------------------------------------------------------
-# the full bench + report plumbing
+# the full bench
 # ---------------------------------------------------------------------------
 
 def run_workloads_bench(
@@ -304,122 +303,3 @@ def run_workloads_bench(
         rows.append(row)
     return {"schema": SCHEMA, "seed": int(seed), "quick": bool(quick), "rows": rows}
 
-
-_REQUIRED_KEYS = (
-    "kind", "fingerprint", "offered", "completed", "shed", "errors",
-    "cache_hit_rate", "throughput_rps", "p50_ms", "p99_ms",
-    "train_steps", "train_failures", "slo_p99_ms", "slo_error_budget",
-    "slo_shed_budget", "slo_failures", "slo_ok",
-)
-
-
-def validate_report(report: Dict[str, object]) -> None:
-    """Schema check; raises :class:`ConfigurationError` on violations."""
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} report: schema={report.get('schema')!r}"
-            if isinstance(report, dict)
-            else "report must be a JSON object"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("report has no rows")
-    seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in PATTERNS:
-            raise ConfigurationError(f"row {i}: unknown kind {kind!r}")
-        seen.add(kind)
-        missing = [k for k in _REQUIRED_KEYS if k not in row]
-        if missing:
-            raise ConfigurationError(f"row {i} ({kind}): missing keys {missing}")
-    missing_kinds = set(PATTERNS) - seen
-    if missing_kinds:
-        raise ConfigurationError(
-            f"report missing patterns: {sorted(missing_kinds)}"
-        )
-
-
-def enforce_gates(report: Dict[str, object]) -> List[str]:
-    """The acceptance gates; returns human-readable failures (empty = pass)."""
-    failures: List[str] = []
-    for row in report["rows"]:
-        kind = row["kind"]
-        if not row["slo_ok"]:
-            for violation in row["slo_failures"]:
-                failures.append(f"{kind}: {violation}")
-        if row["completed"] < 1:
-            failures.append(f"{kind}: no requests completed")
-        if kind == "diurnal" and row["cache_hit_rate"] < 0.5:
-            failures.append(
-                f"diurnal: cache hit rate {row['cache_hit_rate']:.3f} < 0.5 "
-                "(skewed keys should keep the cache hot)"
-            )
-        if kind == "cache_busting" and row["cache_hit_rate"] > 0.02:
-            failures.append(
-                f"cache_busting: cache hit rate {row['cache_hit_rate']:.3f} "
-                "> 0.02 (the adversarial sweep should defeat the cache)"
-            )
-        if kind == "mixed_train_serve":
-            if row["train_steps"] < 1:
-                failures.append("mixed_train_serve: no training steps ran")
-            if row["train_failures"]:
-                failures.append(
-                    f"mixed_train_serve: {row['train_failures']} training "
-                    "step(s) failed"
-                )
-    return failures
-
-
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Per-pattern throughput floor + p99 ceiling vs a committed baseline.
-
-    Simulated clocks make same-shape runs bit-identical, so this gate is
-    exact; comparing a ``--quick`` run against a full-size baseline (or
-    vice versa) is refused rather than silently mismatched.
-    """
-    failures: List[str] = []
-    if bool(report.get("quick")) != bool(baseline.get("quick")):
-        return [
-            f"cannot compare quick={report.get('quick')} run against "
-            f"quick={baseline.get('quick')} baseline (trace shapes differ); "
-            "regenerate the baseline with the same flag"
-        ]
-    current = {row["kind"]: row for row in report["rows"]}
-    for row in baseline["rows"]:
-        kind = row["kind"]
-        if kind not in current:
-            continue
-        base_tp, cur_tp = row["throughput_rps"], current[kind]["throughput_rps"]
-        if base_tp > 0 and cur_tp < base_tp * (1.0 - max_regression):
-            failures.append(
-                f"{kind}: throughput {cur_tp:,.0f} rps < "
-                f"{base_tp * (1.0 - max_regression):,.0f} "
-                f"(baseline {base_tp:,.0f}, allowed regression "
-                f"{max_regression:.0%})"
-            )
-        base_p99, cur_p99 = row["p99_ms"], current[kind]["p99_ms"]
-        if base_p99 > 0 and cur_p99 > base_p99 * (1.0 + max_regression):
-            failures.append(
-                f"{kind}: p99 {cur_p99:.3f} ms > "
-                f"{base_p99 * (1.0 + max_regression):.3f} "
-                f"(baseline {base_p99:.3f}, allowed regression "
-                f"{max_regression:.0%})"
-            )
-    return failures
-
-
-def write_report(report: Dict[str, object], path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def load_report(path) -> Dict[str, object]:
-    with open(path) as fh:
-        return json.load(fh)

@@ -8,18 +8,15 @@
     python -m repro cores                  # core-count scaling extension
     python -m repro roofline               # roofline of one SAE step
     python -m repro serve-bench            # inference serving sweep
-    python -m repro cluster-bench [--quick]  # multi-replica cluster drills
-    python -m repro shard-bench [--quick]  # model-parallel shard drills
-    python -m repro hotpath [--quick]      # fused-kernel wall-clock bench
-    python -m repro parallel-bench [--quick]  # thread+process executor bench
-    python -m repro pipeline-bench [--quick]  # pipelined vs greedy pretrain
     python -m repro chaos [--quick]        # fault-injection + resume drill
     python -m repro chaos --under-load mixed_train_serve  # faults mid-replay
     python -m repro chaos --shard          # shard kill + exchange-kill drills
     python -m repro trace-gen --pattern diurnal --out d.jsonl  # save a trace
-    python -m repro slo-bench [--quick]    # workload patterns vs SLO gates
-    python -m repro all                    # everything (except wall-clock benches)
+    python -m repro all                    # everything except chaos and trace-gen
     python -m repro table1 --csv out.csv   # export rows
+
+The six gated benches (hotpath, parallel, pipeline, workloads, cluster,
+shard) run through ``benchmarks/bench.py NAME`` instead.
 
 Exit status 0 on success; harness errors propagate as non-zero.
 """
@@ -86,143 +83,6 @@ def _rows_for(command: str, model: str, args=None):
             duration_s=duration, seed=0 if seed is None else seed
         )
         return rows, "Serving sweep: batch policy x arrival rate (simulated Phi)"
-    if command == "cluster-bench":
-        from repro.cluster import run_cluster_bench
-
-        report = run_cluster_bench(
-            quick=bool(getattr(args, "quick", False)),
-            seed=getattr(args, "seed", None) or 0,
-        )
-        return (
-            report["rows"],
-            "Cluster drills: saturation, hedging, swap, kill, autoscale "
-            "(simulated clock)",
-        )
-    if command == "shard-bench":
-        from repro.bench.shardbench import run_shard_bench
-
-        report = run_shard_bench(
-            quick=bool(getattr(args, "quick", False)),
-            seed=getattr(args, "seed", None) or 0,
-        )
-        display = []
-        for row in report["rows"]:
-            kind = row["kind"]
-            if kind == "parity":
-                display.append({
-                    "drill": f"parity {row['family']} N={row['n_shards']}",
-                    "result": (
-                        f"forward {row['forward_max_abs']:.1e} "
-                        f"step {row['step_max_abs']:.1e}"
-                    ),
-                    "note": f"roundtrip {row['roundtrip_max_abs']:.1e}",
-                })
-            elif kind == "pretrain":
-                display.append({
-                    "drill": f"pretrain resume N={row['n_shards']}",
-                    "result": f"diff {row['resume_max_abs']:.1e}",
-                    "note": (
-                        f"{row['snapshots']} snapshots, "
-                        f"exchange every {row['exchange_every']}"
-                    ),
-                })
-            elif kind == "serving":
-                display.append({
-                    "drill": f"serving N={row['n_shards']}",
-                    "result": (
-                        f"{row['completed']}/{row['offered']} served, "
-                        f"failed={row['failed']}"
-                    ),
-                    "note": (
-                        f"p99 {row['p99_single_ms']:.2f} -> "
-                        f"{row['p99_sharded_ms']:.2f} ms "
-                        f"({row['p99_ratio']:.2f}x)"
-                    ),
-                })
-            elif kind == "shard_kill":
-                display.append({
-                    "drill": f"shard-kill N={row['n_shards']}",
-                    "result": (
-                        f"{row['completed']}/{row['offered']} served, "
-                        f"failed={row['failed']}"
-                    ),
-                    "note": (
-                        f"deaths={row['deaths']}, "
-                        f"degraded={row['degraded_requests']}"
-                    ),
-                })
-        return display, (
-            "Shard drills: masked-oracle parity, resume, scatter-gather, "
-            "shard kill (simulated clock)"
-        )
-    if command == "hotpath":
-        from repro.bench.hotpath import QUICK_SHAPES, run_hotpath_bench
-
-        quick = bool(getattr(args, "quick", False))
-        report = run_hotpath_bench(
-            shapes=QUICK_SHAPES if quick else None,
-            trials=5 if quick else 8,
-            inner=3 if quick else 4,
-            seed=getattr(args, "seed", None) or 0,
-        )
-        return report["rows"], "Hot path: reference vs fused training step (wall clock)"
-    if command == "parallel-bench":
-        from repro.bench.parallel import QUICK_SHAPES, run_parallel_bench
-
-        quick = bool(getattr(args, "quick", False))
-        report = run_parallel_bench(
-            shapes=QUICK_SHAPES if quick else None,
-            trials=5 if quick else 8,
-            inner=3 if quick else 4,
-            n_chunks=8,
-            seed=getattr(args, "seed", None) or 0,
-        )
-        title = (
-            "Parallel executors: gradient workers "
-            f"({'+'.join(report['engines'])}) + chunk prefetcher "
-            f"(wall clock, {report['n_cores']} core(s))"
-        )
-        return report["rows"], title
-    if command == "pipeline-bench":
-        from repro.bench.pipeline import run_pipeline_bench
-
-        quick = bool(getattr(args, "quick", False))
-        report = run_pipeline_bench(
-            quick=quick,
-            seed=getattr(args, "seed", None) or 0,
-            trials=1 if quick else 2,
-        )
-        title = (
-            "Pipelined vs greedy pre-training (wall clock + convergence, "
-            f"{report['n_cores']} core(s))"
-        )
-        # Flatten the two row kinds into one display shape (format_table
-        # derives its columns from the first row).
-        display = []
-        for row in report["rows"]:
-            if row["kind"] == "walltime":
-                display.append({
-                    "row": (
-                        f"walltime {row['n_examples']}x{row['n_visible']} "
-                        f"layers={row['layers']} E={row['epochs']}"
-                    ),
-                    "greedy": f"{row['greedy_s']:.2f}s",
-                    "pipelined": f"{row['pipelined_s']:.2f}s",
-                    "ratio": f"{row['speedup']:.2f}x",
-                    "note": (
-                        f"ideal {row['ideal_speedup']:.2f}x, scaling "
-                        f"expected: {row['expected_scaling']}"
-                    ),
-                })
-            else:
-                display.append({
-                    "row": f"convergence layer {row['layer']} (final loss)",
-                    "greedy": f"{row['greedy_loss']:.4f}",
-                    "pipelined": f"{row['pipelined_loss']:.4f}",
-                    "ratio": f"rel {row['rel_diff']:.4f}",
-                    "note": f"tol {row['tol']:.2f}, within: {row['within_tol']}",
-                })
-        return display, title
     if command == "chaos":
         from repro.testing.chaos import run_chaos
 
@@ -267,46 +127,16 @@ def _rows_for(command: str, model: str, args=None):
             "path": str(path),
         }
         return [row], "Trace generated (replay with chaos --under-load PATH)"
-    if command == "slo-bench":
-        from repro.bench.slobench import run_workloads_bench, write_report
-
-        report = run_workloads_bench(
-            quick=bool(getattr(args, "quick", False)),
-            seed=getattr(args, "seed", None) or 0,
-        )
-        out = getattr(args, "out", None)
-        if out:
-            write_report(report, out)
-        rows = [
-            {
-                "pattern": row["kind"],
-                "served": f"{row['completed']}/{row['offered']}",
-                "shed": row["shed"],
-                "errors": row["errors"],
-                "rps": f"{row['throughput_rps']:,.0f}",
-                "p99_ms": f"{row['p99_ms']:.2f}",
-                "hit_rate": f"{row['cache_hit_rate']:.2f}",
-                "slo_ok": row["slo_ok"],
-                "note": "; ".join(row["slo_failures"]) or "-",
-            }
-            for row in report["rows"]
-        ]
-        return rows, "Workload patterns vs per-pattern SLO gates (simulated clock)"
     raise ValueError(f"unknown command {command!r}")
 
 
 _COMMANDS = [
     "table1", "fig7", "fig8", "fig9", "fig10", "overlap", "headline",
-    "cores", "roofline", "serve-bench", "cluster-bench", "shard-bench",
-    "hotpath", "parallel-bench", "pipeline-bench", "verify", "chaos",
-    "trace-gen", "slo-bench", "all",
+    "cores", "roofline", "serve-bench", "verify", "chaos", "trace-gen", "all",
 ]
 
-#: commands too slow / machine-dependent to fold into ``all``
-_EXCLUDED_FROM_ALL = {
-    "hotpath", "parallel-bench", "pipeline-bench", "chaos", "cluster-bench",
-    "shard-bench", "trace-gen", "slo-bench",
-}
+#: commands too slow or side-effecting to fold into ``all``
+_EXCLUDED_FROM_ALL = {"chaos", "trace-gen"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,18 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help=(
-            "serve-bench / hotpath / parallel-bench / pipeline-bench: "
-            "workload seed (default 0)"
-        ),
+        help="serve-bench / chaos / trace-gen: workload seed (default 0)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=(
-            "hotpath / parallel-bench / pipeline-bench / chaos / "
-            "cluster-bench: small shapes + fewer trials (CI smoke run)"
-        ),
+        help="chaos / trace-gen: short drills and traces (CI smoke run)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -385,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="PATH",
         default=None,
-        help="trace-gen: trace file to write; slo-bench: JSON report to write",
+        help="trace-gen: trace file to write",
     )
     return parser
 
@@ -410,8 +234,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if command == "verify" and any(r.get("status") == "FAIL" for r in rows):
             status = 1
         if command == "chaos" and any(not r.get("ok", False) for r in rows):
-            status = 1
-        if command == "slo-bench" and any(not r.get("slo_ok", False) for r in rows):
             status = 1
     if args.csv:
         print(f"wrote {write_csv(all_rows, args.csv)}")

@@ -1,4 +1,4 @@
-"""The ``cluster-bench`` artefact: multi-replica drills with hard gates.
+"""The cluster bench: multi-replica drills with hard gates.
 
 Four drills, all deterministic (simulated clock, seeded arrivals), all
 run against the same freshly pre-trained demo servable:
@@ -18,16 +18,15 @@ run against the same freshly pre-trained demo servable:
   the router must fail its outstanding legs over with 0 client-visible
   failures.
 
-The committed ``BENCH_cluster.json`` baseline plus
-:func:`compare_to_baseline` give CI a 25 % regression gate on the two
-headline ratios (scaling, hedge gain), mirroring the hotpath/parallel
-benches.  Because the clock is simulated the numbers are
-machine-independent — the regression gate is tight, not advisory.
+The committed ``BENCH_cluster.json`` baseline gives CI a 25 %
+regression fence on the two headline ratios (scaling, hedge gain);
+``repro.bench.benches`` declares the gates and fences.  Because the
+clock is simulated the numbers are machine-independent — the fence is
+tight, not advisory.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
@@ -346,7 +345,7 @@ def run_autoscale_drill(
 
 
 # ---------------------------------------------------------------------------
-# the full bench + report plumbing
+# the full bench
 # ---------------------------------------------------------------------------
 
 def run_cluster_bench(
@@ -380,124 +379,3 @@ def run_cluster_bench(
     rows.append(run_autoscale_drill(servable, duration_s=2 * drill_s, seed=seed))
     return {"schema": SCHEMA, "seed": int(seed), "quick": bool(quick), "rows": rows}
 
-
-_REQUIRED_KEYS = {
-    "saturation": ("n_replicas", "throughput_rps", "p99_ms", "speedup_vs_1",
-                   "p99_ratio_vs_1"),
-    "hedge": ("p99_off_ms", "p99_on_ms", "p99_gain", "hedges_launched"),
-    "swap": ("offered", "completed", "failed", "shed", "drained"),
-    "kill": ("offered", "completed", "failed", "deaths", "rerouted"),
-    "autoscale": ("scale_ups", "scale_downs", "replicas_final"),
-}
-
-
-def validate_report(report: Dict[str, object]) -> None:
-    """Schema check; raises :class:`ConfigurationError` on violations."""
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} report: schema={report.get('schema')!r}"
-            if isinstance(report, dict)
-            else "report must be a JSON object"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("report has no rows")
-    seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in _REQUIRED_KEYS:
-            raise ConfigurationError(f"row {i}: unknown kind {kind!r}")
-        seen.add(kind)
-        missing = [k for k in _REQUIRED_KEYS[kind] if k not in row]
-        if missing:
-            raise ConfigurationError(f"row {i} ({kind}): missing keys {missing}")
-    missing_kinds = set(_REQUIRED_KEYS) - seen
-    if missing_kinds:
-        raise ConfigurationError(f"report missing drill kinds: {sorted(missing_kinds)}")
-
-
-def enforce_gates(
-    report: Dict[str, object],
-    min_scaling: float = 3.0,
-    min_hedge_gain: float = 1.5,
-    max_p99_ratio: float = 1.25,
-) -> List[str]:
-    """The acceptance gates; returns human-readable failures (empty = pass)."""
-    failures: List[str] = []
-    saturation = [r for r in report["rows"] if r["kind"] == "saturation"]
-    top = max(saturation, key=lambda r: r["n_replicas"])
-    if top["speedup_vs_1"] < min_scaling:
-        failures.append(
-            f"saturation: N={top['n_replicas']} speedup {top['speedup_vs_1']:.2f}x "
-            f"< {min_scaling:.2f}x floor"
-        )
-    if top["p99_ratio_vs_1"] > max_p99_ratio:
-        failures.append(
-            f"saturation: N={top['n_replicas']} p99 ratio "
-            f"{top['p99_ratio_vs_1']:.2f} > {max_p99_ratio:.2f} (not 'equal p99')"
-        )
-    for row in report["rows"]:
-        kind = row["kind"]
-        if kind == "hedge" and row["p99_gain"] < min_hedge_gain:
-            failures.append(
-                f"hedge: p99 gain {row['p99_gain']:.2f}x < {min_hedge_gain:.2f}x floor"
-            )
-        if kind == "swap" and (row["failed"] or row["shed"] or not row["drained"]):
-            failures.append(
-                f"swap: failed={row['failed']} shed={row['shed']} "
-                f"drained={row['drained']} (zero-downtime contract broken)"
-            )
-        if kind == "kill" and (row["failed"] or row["deaths"] != 1):
-            failures.append(
-                f"kill: failed={row['failed']} deaths={row['deaths']} "
-                "(fail-over contract broken)"
-            )
-        if kind == "autoscale" and row["scale_ups"] < 1:
-            failures.append("autoscale: burst produced no scale-up")
-    return failures
-
-
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Compare the headline ratios against a committed baseline."""
-    failures: List[str] = []
-
-    def ratio_by_kind(rep, kind, key, tag=None):
-        out = {}
-        for row in rep["rows"]:
-            if row["kind"] == kind:
-                out[row.get(tag) if tag else kind] = row[key]
-        return out
-
-    for label, (kind, key, tag) in {
-        "saturation speedup": ("saturation", "speedup_vs_1", "n_replicas"),
-        "hedge p99 gain": ("hedge", "p99_gain", None),
-    }.items():
-        current = ratio_by_kind(report, kind, key, tag)
-        base = ratio_by_kind(baseline, kind, key, tag)
-        for cell, base_value in base.items():
-            if cell not in current or base_value <= 0:
-                continue
-            floor = base_value * (1.0 - max_regression)
-            if current[cell] < floor:
-                failures.append(
-                    f"{label} [{cell}]: {current[cell]:.2f} < "
-                    f"{floor:.2f} (baseline {base_value:.2f}, "
-                    f"allowed regression {max_regression:.0%})"
-                )
-    return failures
-
-
-def write_report(report: Dict[str, object], path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def load_report(path) -> Dict[str, object]:
-    with open(path) as fh:
-        return json.load(fh)

@@ -15,7 +15,7 @@ Two mechanisms, best one wins:
 * environment variables (``OMP_NUM_THREADS`` & friends) otherwise —
   honoured only by BLAS runtimes *not yet initialised*, so processes that
   want the fallback to bite must set limits before the first ``import
-  numpy`` (``benchmarks/bench_parallel.py`` does exactly this).
+  numpy`` (``benchmarks/bench.py parallel`` does exactly this).
 """
 
 from __future__ import annotations

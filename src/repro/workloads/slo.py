@@ -4,8 +4,8 @@ An :class:`SLOGate` is a frozen triple of ceilings — p99 latency, error
 budget, shed budget — checked against a
 :class:`~repro.workloads.replay.ReplayReport`.  ``evaluate`` returns a
 list of human-readable violations (empty = SLO met), which the bench
-layer stores per-row in ``BENCH_workloads.json`` and CI enforces in the
-``slo-smoke`` job; the chaos-under-load drills use the error budget to
+layer stores per-row in ``BENCH_workloads.json`` and CI enforces in its
+``bench`` job; the chaos-under-load drills use the error budget to
 assert fault-injection never eats into client-visible correctness.
 """
 

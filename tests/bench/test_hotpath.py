@@ -4,15 +4,9 @@ import copy
 
 import pytest
 
-from repro.bench.hotpath import (
-    EQUIV_TOL,
-    SCHEMA_ID,
-    compare_to_baseline,
-    load_report,
-    run_hotpath_bench,
-    validate_report,
-    write_report,
-)
+from repro.bench import gate
+from repro.bench.benches import HOTPATH
+from repro.bench.hotpath import EQUIV_TOL, SCHEMA_ID, run_hotpath_bench
 from repro.errors import ConfigurationError
 
 TINY = ((4, 12, 6),)
@@ -40,7 +34,7 @@ class TestRunHotpathBench:
             assert row["max_abs_diff"] <= EQUIV_TOL
 
     def test_report_validates(self, report):
-        validate_report(report)
+        gate.validate(HOTPATH, report)
 
 
 class TestValidateReport:
@@ -48,49 +42,49 @@ class TestValidateReport:
         bad = copy.deepcopy(report)
         bad["schema"] = "something/else"
         with pytest.raises(ConfigurationError, match="schema"):
-            validate_report(bad)
+            gate.validate(HOTPATH, bad)
 
     def test_rejects_missing_field(self, report):
         bad = copy.deepcopy(report)
         del bad["rows"][0]["speedup"]
         with pytest.raises(ConfigurationError, match="speedup"):
-            validate_report(bad)
+            gate.validate(HOTPATH, bad)
 
     def test_rejects_empty_rows(self, report):
         bad = copy.deepcopy(report)
         bad["rows"] = []
         with pytest.raises(ConfigurationError, match="rows"):
-            validate_report(bad)
+            gate.validate(HOTPATH, bad)
 
     def test_rejects_equivalence_violation(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["max_abs_diff"] = 1e-3
-        with pytest.raises(ConfigurationError, match="equivalence"):
-            validate_report(bad)
+        with pytest.raises(ConfigurationError, match="max_abs_diff"):
+            gate.validate(HOTPATH, bad)
 
     def test_rejects_nonpositive_timing(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["fused_ms"] = 0.0
         with pytest.raises(ConfigurationError, match="fused_ms"):
-            validate_report(bad)
+            gate.validate(HOTPATH, bad)
 
 
 class TestCompareToBaseline:
     def test_identical_report_passes(self, report):
-        assert compare_to_baseline(report, report) == []
+        assert gate.compare(HOTPATH, report, report) == ([], [])
 
     def test_within_tolerance_passes(self, report):
         current = copy.deepcopy(report)
         for row in current["rows"]:
             row["speedup"] = round(row["speedup"] * 0.80, 4)  # -20% < 25%
-        assert compare_to_baseline(current, report, max_regression=0.25) == []
+        assert gate.compare(HOTPATH, current, report) == ([], [])
 
     def test_regression_is_flagged(self, report):
         current = copy.deepcopy(report)
         current["rows"][0]["speedup"] = round(
             report["rows"][0]["speedup"] * 0.5, 4
         )
-        failures = compare_to_baseline(current, report, max_regression=0.25)
+        failures, _ = gate.compare(HOTPATH, current, report)
         assert len(failures) == 1
         assert report["rows"][0]["model"] in failures[0]
 
@@ -98,14 +92,17 @@ class TestCompareToBaseline:
         current = copy.deepcopy(report)
         current["rows"][0]["batch"] = 999  # no matching baseline row
         current["rows"][0]["speedup"] = 0.01
-        assert compare_to_baseline(current, report) == []
+        failures, skipped = gate.compare(HOTPATH, current, report)
+        assert failures == []
+        assert len(skipped) == 1 and "no baseline row" in skipped[0]
+        assert "999" in skipped[0]  # the note names the unmatched key
 
 
 class TestReportIO:
     def test_write_then_load_roundtrip(self, report, tmp_path):
         path = str(tmp_path / "bench.json")
-        assert write_report(report, path) == path
-        assert load_report(path) == report
+        assert gate.write(HOTPATH, report, path) == path
+        assert gate.load(path) == report
 
 
 class TestCommittedBaseline:
@@ -117,8 +114,8 @@ class TestCommittedBaseline:
         )
         if not os.path.exists(path):
             pytest.skip("BENCH_hotpath.json not present")
-        baseline = load_report(path)
-        validate_report(baseline)
+        baseline = gate.load(path)
+        gate.validate(HOTPATH, baseline)
         paper_rows = [
             r for r in baseline["rows"]
             if (r["batch"], r["n_visible"], r["n_hidden"]) == (100, 4096, 1024)

@@ -4,7 +4,9 @@ import copy
 
 import pytest
 
+from repro.bench import gate
 from repro.bench import parallel as bp
+from repro.bench.benches import PARALLEL
 from repro.errors import ConfigurationError
 
 
@@ -22,7 +24,7 @@ def report():
 
 class TestRun:
     def test_schema_and_metadata(self, report):
-        bp.validate_report(report)
+        gate.validate(PARALLEL, report)
         assert report["schema"] == bp.SCHEMA_ID
         assert report["n_cores"] >= 1
         assert report["equiv_tol"] == bp.EQUIV_TOL
@@ -107,31 +109,31 @@ class TestValidation:
         bad = copy.deepcopy(report)
         bad["schema"] = "other/v1"
         with pytest.raises(ConfigurationError, match="schema"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_missing_cores(self, report):
         bad = copy.deepcopy(report)
         del bad["n_cores"]
         with pytest.raises(ConfigurationError, match="n_cores"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_unknown_row_kind(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["kind"] = "mystery"
         with pytest.raises(ConfigurationError, match="kind"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_equivalence_violation(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["max_abs_diff"] = 1e-3
-        with pytest.raises(ConfigurationError, match="equivalence"):
-            bp.validate_report(bad)
+        with pytest.raises(ConfigurationError, match="max_abs_diff"):
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_missing_row_kind_coverage(self, report):
         bad = copy.deepcopy(report)
         bad["rows"] = [r for r in bad["rows"] if r["kind"] == "workers"]
-        with pytest.raises(ConfigurationError, match="both row kinds"):
-            bp.validate_report(bad)
+        with pytest.raises(ConfigurationError, match="lacks row kinds"):
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_nonpositive_timing(self, report):
         bad = copy.deepcopy(report)
@@ -140,21 +142,21 @@ class TestValidation:
                 row["ms"] = 0.0
                 break
         with pytest.raises(ConfigurationError, match="positive"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_missing_regime_flags(self, report):
         for flag in ("gil_enabled", "free_threaded", "blas_budget_active"):
             bad = copy.deepcopy(report)
             del bad[flag]
             with pytest.raises(ConfigurationError, match=flag):
-                bp.validate_report(bad)
+                gate.validate(PARALLEL, bad)
 
     def test_rejects_threadpoolctl_claim_without_active_budget(self, report):
         bad = copy.deepcopy(report)
         bad["have_threadpoolctl"] = True
         bad["blas_budget_active"] = False
         with pytest.raises(ConfigurationError, match="threadpoolctl"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_missing_scaling_tag(self, report):
         bad = copy.deepcopy(report)
@@ -162,7 +164,7 @@ class TestValidation:
             if row["kind"] == "workers":
                 del row["expected_scaling"]
         with pytest.raises(ConfigurationError, match="expected_scaling"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_unknown_engine_in_row(self, report):
         bad = copy.deepcopy(report)
@@ -171,7 +173,7 @@ class TestValidation:
                 row["engine"] = "gpu"
                 break
         with pytest.raises(ConfigurationError, match="engine"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
     def test_rejects_report_without_thread_rows(self, report):
         bad = copy.deepcopy(report)
@@ -183,7 +185,7 @@ class TestValidation:
         if not any(r["kind"] == "workers" for r in bad["rows"]):
             pytest.skip("no process rows on this platform")
         with pytest.raises(ConfigurationError, match="thread"):
-            bp.validate_report(bad)
+            gate.validate(PARALLEL, bad)
 
 
 def _retag(r, expected_scaling):
@@ -204,7 +206,7 @@ class TestGates:
         for row in r["rows"]:
             if row["kind"] == "workers" and row["n_workers"] >= 2:
                 row["speedup"] = 0.5  # would fail — but must be skipped
-        failures, skipped = bp.enforce_gates(r, min_speedup=1.3)
+        failures, skipped = gate.gate(PARALLEL, r)
         assert failures == []
         assert skipped and "expected_scaling=false" in skipped[0]
         assert "1 core" in skipped[0]
@@ -221,7 +223,7 @@ class TestGates:
             if row["kind"] == "workers" and row["n_workers"] >= 2:
                 row["speedup"] = 1.1
                 row["vs_serial"] = 1.1
-        failures, skipped = bp.enforce_gates(r, min_speedup=1.3)
+        failures, skipped = gate.gate(PARALLEL, r)
         assert skipped == []
         assert failures and "W=2" in failures[0]
 
@@ -239,7 +241,7 @@ class TestGates:
             # ... but the process engine loses to serial: must still fail.
             if row["kind"] == "workers" and row["engine"] == "process":
                 row["vs_serial"] = 0.9
-        failures, _ = bp.enforce_gates(r, min_speedup=1.3)
+        failures, _ = gate.gate(PARALLEL, r)
         assert failures and all("vs_serial" in f for f in failures)
         assert all("process" in f for f in failures)
 
@@ -252,7 +254,7 @@ class TestGates:
         for row in r["rows"]:
             if row["kind"] == "prefetch":
                 row["speedup"] = 1.05
-        failures, _ = bp.enforce_gates(r, min_speedup=1.3)
+        failures, _ = gate.gate(PARALLEL, r)
         assert failures and "prefetch" in failures[0]
 
     def test_all_gates_pass_on_good_multicore_report(self, report):
@@ -264,13 +266,13 @@ class TestGates:
                 row["speedup"] = 1.8
             if row["kind"] == "workers":
                 row["vs_serial"] = 1.8
-        failures, skipped = bp.enforce_gates(r, min_speedup=1.3)
+        failures, skipped = gate.gate(PARALLEL, r)
         assert failures == [] and skipped == []
 
 
 class TestBaselineComparison:
     def test_no_regression_against_self(self, report):
-        failures, _ = bp.compare_to_baseline(report, report)
+        failures, _ = gate.compare(PARALLEL, report, report)
         assert failures == []
 
     def test_flags_prefetch_regression(self, report):
@@ -278,7 +280,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "prefetch":
                 row["speedup"] = row["speedup"] * 0.5
-        failures, _ = bp.compare_to_baseline(current, report, max_regression=0.25)
+        failures, _ = gate.compare(PARALLEL, current, report)
         assert failures and "prefetch" in failures[0]
 
     def test_untagged_worker_rows_skipped_with_note(self, report):
@@ -287,9 +289,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "workers":
                 row["speedup"] = 0.1  # huge regression — must be skipped
-        failures, skipped = bp.compare_to_baseline(
-            current, report, max_regression=0.25
-        )
+        failures, skipped = gate.compare(PARALLEL, current, report)
         assert all("workers" not in f for f in failures)
         assert skipped and all("expected_scaling=false" in n for n in skipped)
         assert all("report" in n for n in skipped)  # names which side
@@ -299,9 +299,7 @@ class TestBaselineComparison:
         _retag(base, False)
         current = copy.deepcopy(report)
         _retag(current, True)
-        failures, skipped = bp.compare_to_baseline(
-            current, base, max_regression=0.25
-        )
+        failures, skipped = gate.compare(PARALLEL, current, base)
         assert all("workers" not in f for f in failures)
         assert skipped and all("baseline" in n for n in skipped)
 
@@ -313,9 +311,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "workers" and row["n_workers"] >= 2:
                 row["speedup"] = row["speedup"] * 0.1
-        failures, skipped = bp.compare_to_baseline(
-            current, base, max_regression=0.25
-        )
+        failures, skipped = gate.compare(PARALLEL, current, base)
         assert failures
         assert skipped == []
 
@@ -329,30 +325,34 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "workers" and row["engine"] == "process":
                 row["vs_serial"] = row["vs_serial"] * 0.1
-        failures, _ = bp.compare_to_baseline(current, base, max_regression=0.25)
+        failures, _ = gate.compare(PARALLEL, current, base)
         assert failures and all("vs_serial" in f for f in failures)
 
     def test_unknown_shape_is_not_compared(self, report):
         current = copy.deepcopy(report)
         for row in current["rows"]:
-            row["n_chunks"] = row.get("n_chunks", 0) + 99
+            if row["kind"] == "prefetch":
+                row["n_chunks"] += 99
             row["batch"] = row["batch"] + 99
-        assert bp.compare_to_baseline(current, report) == ([], [])
+        failures, skipped = gate.compare(PARALLEL, current, report)
+        assert failures == []
+        assert len(skipped) == len(current["rows"])  # one note per row
+        assert all("no baseline row" in n and "115" in n for n in skipped)
 
 
 class TestRoundTrip:
     def test_write_then_load(self, report, tmp_path):
         path = str(tmp_path / "BENCH_parallel.json")
-        assert bp.write_report(report, path) == path
-        loaded = bp.load_report(path)
-        bp.validate_report(loaded)
+        assert gate.write(PARALLEL, report, path) == path
+        loaded = gate.load(path)
+        gate.validate(PARALLEL, loaded)
         assert loaded == report
 
     def test_write_rejects_invalid(self, report, tmp_path):
         bad = copy.deepcopy(report)
         bad["schema"] = "nope"
         with pytest.raises(ConfigurationError):
-            bp.write_report(bad, str(tmp_path / "x.json"))
+            gate.write(PARALLEL, bad, str(tmp_path / "x.json"))
 
 
 class TestCommittedBaseline:
@@ -364,7 +364,7 @@ class TestCommittedBaseline:
         )
         if not os.path.exists(path):
             pytest.skip("BENCH_parallel.json not present")
-        report = bp.load_report(path)
-        bp.validate_report(report)
-        failures, _skipped = bp.enforce_gates(report, min_speedup=bp.MIN_SPEEDUP)
+        report = gate.load(path)
+        gate.validate(PARALLEL, report)
+        failures, _skipped = gate.gate(PARALLEL, report)
         assert failures == []

@@ -5,6 +5,8 @@ import copy
 import pytest
 
 import repro.bench.pipeline as bp
+from repro.bench import gate
+from repro.bench.benches import PIPELINE
 from repro.errors import ConfigurationError
 
 TINY_SHAPE = dict(n=32, n_visible=12, layers=(8, 12), epochs=2, batch=16)
@@ -17,7 +19,7 @@ def report():
 
 class TestReportShape:
     def test_schema_and_rows(self, report):
-        bp.validate_report(report)
+        gate.validate(PIPELINE, report)
         kinds = [r["kind"] for r in report["rows"]]
         assert kinds.count("walltime") == 1
         assert kinds.count("convergence") == len(TINY_SHAPE["layers"])
@@ -41,14 +43,14 @@ class TestReportShape:
         )
 
     def test_roundtrip(self, report, tmp_path):
-        path = bp.write_report(report, str(tmp_path / "r.json"))
-        assert bp.load_report(path) == report
+        path = gate.write(PIPELINE, report, str(tmp_path / "r.json"))
+        assert gate.load(path) == report
 
     def test_validate_rejects_wrong_schema(self, report):
         bad = copy.deepcopy(report)
         bad["schema"] = "something/v0"
         with pytest.raises(ConfigurationError, match="schema"):
-            bp.validate_report(bad)
+            gate.validate(PIPELINE, bad)
 
     def test_validate_rejects_missing_scaling_tag(self, report):
         bad = copy.deepcopy(report)
@@ -56,7 +58,7 @@ class TestReportShape:
             if row["kind"] == "walltime":
                 del row["expected_scaling"]
         with pytest.raises(ConfigurationError, match="expected_scaling"):
-            bp.validate_report(bad)
+            gate.validate(PIPELINE, bad)
 
 
 class TestGates:
@@ -66,7 +68,8 @@ class TestGates:
         for row in forced["rows"]:
             if row["kind"] == "walltime":
                 row["expected_scaling"] = False
-        failures, skipped = bp.enforce_gates(forced, min_speedup=100.0)
+                row["speedup"] = 0.01  # far below the floor, yet skipped
+        failures, skipped = gate.gate(PIPELINE, forced)
         assert failures == []
         assert len(skipped) == 1 and "skipped" in skipped[0]
 
@@ -77,28 +80,30 @@ class TestGates:
             if row["kind"] == "walltime":
                 row["expected_scaling"] = True
                 row["speedup"] = 1.1
-        failures, skipped = bp.enforce_gates(forced, min_speedup=1.3)
-        assert len(failures) == 1 and "1.10x" in failures[0]
+        failures, skipped = gate.gate(PIPELINE, forced)
+        assert len(failures) == 1 and "speedup 1.1," in failures[0]
         assert skipped == []
 
     def test_convergence_gate_binds_on_any_core_count(self, report):
         forced = copy.deepcopy(report)
         for row in forced["rows"]:
+            if row["kind"] == "walltime":
+                row["speedup"] = 2.0  # clears the floor wherever it binds
             if row["kind"] == "convergence" and row["layer"] == 1:
                 row["within_tol"] = False
-        failures, _ = bp.enforce_gates(forced, min_speedup=0.0)
-        assert any("convergence layer 1" in f for f in failures)
+        failures, _ = gate.gate(PIPELINE, forced)
+        assert failures == ["convergence layer 1: within_tol False, required == True"]
 
 
 class TestBaselineComparison:
     def test_no_regression_against_self(self, report):
-        failures, _ = bp.compare_to_baseline(report, report)
+        failures, _ = gate.compare(PIPELINE, report, report)
         assert failures == []
 
     def test_single_core_comparison_is_skipped_with_note(self, report):
         if report["n_cores"] >= 2:
             pytest.skip("requires a single-core measurement")
-        failures, skipped = bp.compare_to_baseline(report, report)
+        failures, skipped = gate.compare(PIPELINE, report, report)
         assert failures == []
         assert any("skipped" in note for note in skipped)
 
@@ -116,16 +121,16 @@ class TestBaselineComparison:
         for row in cur["rows"]:
             if row["kind"] == "walltime":
                 row["speedup"] = 1.2  # below 2.0 * (1 - 0.25)
-        failures, skipped = bp.compare_to_baseline(cur, base)
+        failures, skipped = gate.compare(PIPELINE, cur, base)
         assert len(failures) == 1 and "floor" in failures[0]
         assert skipped == []
 
 
 class TestCommittedBaseline:
     def test_committed_report_is_valid_and_gated(self):
-        report = bp.load_report("BENCH_pipeline.json")
-        bp.validate_report(report)
-        failures, skipped = bp.enforce_gates(report, min_speedup=bp.MIN_SPEEDUP)
+        report = gate.load("BENCH_pipeline.json")
+        gate.validate(PIPELINE, report)
+        failures, skipped = gate.gate(PIPELINE, report)
         assert failures == []
         # The committed baseline was measured on a 1-core container, so
         # its walltime gate must be recorded as explicitly skipped there;

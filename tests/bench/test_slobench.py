@@ -4,18 +4,15 @@ import copy
 
 import pytest
 
+from repro.bench import gate
+from repro.bench.benches import WORKLOADS
 from repro.bench.slobench import (
     SCHEMA,
     TrainLoopDriver,
-    compare_to_baseline,
     demo_servable,
-    enforce_gates,
-    load_report,
     run_trace,
     run_workloads_bench,
     scenario_for,
-    validate_report,
-    write_report,
 )
 from repro.errors import ConfigurationError
 from repro.workloads.patterns import PATTERNS, generate
@@ -37,8 +34,7 @@ class TestBenchRun:
         assert again == quick_report  # bit-identical, every field
 
     def test_gates_pass_on_fresh_run(self, quick_report):
-        validate_report(quick_report)
-        assert enforce_gates(quick_report) == []
+        assert gate.gate(WORKLOADS, quick_report) == ([], [])
 
     def test_mixed_pattern_trains(self, quick_report):
         mixed = next(r for r in quick_report["rows"]
@@ -75,40 +71,40 @@ class TestScenarios:
 
 class TestReportPlumbing:
     def test_round_trip(self, quick_report, tmp_path):
-        path = write_report(quick_report, tmp_path / "r.json")
-        assert load_report(path) == quick_report
+        path = gate.write(WORKLOADS, quick_report, tmp_path / "r.json")
+        assert gate.load(path) == quick_report
 
     def test_validate_rejects_wrong_schema(self, quick_report):
         bad = dict(quick_report, schema="nonsense/v0")
         with pytest.raises(ConfigurationError, match="schema"):
-            validate_report(bad)
+            gate.validate(WORKLOADS, bad)
 
     def test_validate_rejects_missing_pattern(self, quick_report):
         bad = dict(quick_report, rows=quick_report["rows"][:-1])
-        with pytest.raises(ConfigurationError, match="missing patterns"):
-            validate_report(bad)
+        with pytest.raises(ConfigurationError, match="lacks row kinds"):
+            gate.validate(WORKLOADS, bad)
 
     def test_validate_rejects_missing_keys(self, quick_report):
         bad = copy.deepcopy(quick_report)
         del bad["rows"][0]["p99_ms"]
-        with pytest.raises(ConfigurationError, match="missing keys"):
-            validate_report(bad)
+        with pytest.raises(ConfigurationError, match="missing field 'p99_ms'"):
+            gate.validate(WORKLOADS, bad)
 
     def test_enforce_gates_flags_violations(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["rows"][0]["slo_ok"] = False
         bad["rows"][0]["slo_failures"] = ["p99 too high"]
-        failures = enforce_gates(bad)
+        failures, _ = gate.gate(WORKLOADS, bad)
         assert any("p99 too high" in f for f in failures)
 
 
 class TestBaselineComparison:
     def test_identical_run_passes(self, quick_report):
-        assert compare_to_baseline(quick_report, quick_report) == []
+        assert gate.compare(WORKLOADS, quick_report, quick_report) == ([], [])
 
     def test_refuses_quick_mismatch(self, quick_report):
         full_shaped = dict(quick_report, quick=False)
-        failures = compare_to_baseline(full_shaped, quick_report)
+        failures, _ = gate.compare(WORKLOADS, full_shaped, quick_report)
         assert len(failures) == 1
         assert "cannot compare" in failures[0]
 
@@ -116,7 +112,7 @@ class TestBaselineComparison:
         inflated = copy.deepcopy(quick_report)
         for row in inflated["rows"]:
             row["throughput_rps"] *= 10.0
-        failures = compare_to_baseline(quick_report, inflated, 0.25)
+        failures, _ = gate.compare(WORKLOADS, quick_report, inflated)
         assert len(failures) == len(PATTERNS)
         assert all("throughput" in f for f in failures)
 
@@ -124,15 +120,15 @@ class TestBaselineComparison:
         slow = copy.deepcopy(quick_report)
         for row in slow["rows"]:
             row["p99_ms"] *= 10.0
-        failures = compare_to_baseline(slow, quick_report, 0.25)
-        assert all("p99" in f for f in failures)
+        failures, _ = gate.compare(WORKLOADS, slow, quick_report)
+        assert failures and all("p99" in f for f in failures)
 
     def test_within_tolerance_passes(self, quick_report):
         near = copy.deepcopy(quick_report)
         for row in near["rows"]:
             row["throughput_rps"] *= 0.9
             row["p99_ms"] *= 1.1
-        assert compare_to_baseline(near, quick_report, 0.25) == []
+        assert gate.compare(WORKLOADS, near, quick_report) == ([], [])
 
 
 class TestCommittedBaseline:
@@ -141,10 +137,9 @@ class TestCommittedBaseline:
         from pathlib import Path
 
         baseline_path = Path(__file__).resolve().parents[2] / "BENCH_workloads.json"
-        baseline = load_report(baseline_path)
-        validate_report(baseline)
+        baseline = gate.load(baseline_path)
         fresh = run_workloads_bench(quick=True, seed=baseline["seed"])
-        assert compare_to_baseline(fresh, baseline, 0.25) == []
+        assert gate.compare(WORKLOADS, fresh, baseline) == ([], [])
         fingerprints = {r["kind"]: r["fingerprint"] for r in fresh["rows"]}
         for row in baseline["rows"]:
             assert row["fingerprint"] == fingerprints[row["kind"]]

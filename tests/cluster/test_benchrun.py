@@ -2,18 +2,27 @@
 
 import pytest
 
+from repro.bench import gate
+from repro.bench.benches import CLUSTER
 from repro.cluster.benchrun import (
     SCHEMA,
-    compare_to_baseline,
     drill_replica_config,
-    enforce_gates,
-    load_report,
     replica_capacity_rps,
     run_saturation_sweep,
-    validate_report,
-    write_report,
 )
 from repro.errors import ConfigurationError
+
+
+def gate_failures(report):
+    failures, skipped = gate.gate(CLUSTER, report)
+    assert skipped == []
+    return failures
+
+
+def fence_failures(report, baseline):
+    failures, skipped = gate.compare(CLUSTER, report, baseline)
+    assert skipped == []
+    return failures
 
 
 def saturation_row(n, speedup, p99_ratio=1.0):
@@ -56,90 +65,88 @@ def synthetic_report(
 
 class TestValidation:
     def test_valid_report_passes(self):
-        validate_report(synthetic_report())
+        gate.validate(CLUSTER, synthetic_report())
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ConfigurationError, match="schema"):
-            validate_report({"schema": "other/v9", "rows": [{}]})
+            gate.validate(CLUSTER, {"schema": "other/v9", "rows": [{}]})
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(ConfigurationError, match="no rows"):
-            validate_report({"schema": SCHEMA, "rows": []})
+        with pytest.raises(ConfigurationError, match="non-empty 'rows'"):
+            gate.validate(CLUSTER, {"schema": SCHEMA, "rows": []})
 
     def test_unknown_kind_rejected(self):
         report = synthetic_report()
         report["rows"][0]["kind"] = "mystery"
         with pytest.raises(ConfigurationError, match="unknown kind"):
-            validate_report(report)
+            gate.validate(CLUSTER, report)
 
     def test_missing_key_rejected(self):
         report = synthetic_report()
         del report["rows"][2]["p99_gain"]
         with pytest.raises(ConfigurationError, match="p99_gain"):
-            validate_report(report)
+            gate.validate(CLUSTER, report)
 
     def test_missing_drill_kind_rejected(self):
         report = synthetic_report()
         report["rows"] = [r for r in report["rows"] if r["kind"] != "autoscale"]
         with pytest.raises(ConfigurationError, match="autoscale"):
-            validate_report(report)
+            gate.validate(CLUSTER, report)
 
     def test_roundtrip_through_disk(self, tmp_path):
         path = tmp_path / "bench.json"
-        write_report(synthetic_report(), path)
-        validate_report(load_report(path))
+        gate.write(CLUSTER, synthetic_report(), path)
+        gate.validate(CLUSTER, gate.load(path))
 
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert enforce_gates(synthetic_report()) == []
+        assert gate_failures(synthetic_report()) == []
 
     def test_scaling_floor(self):
-        failures = enforce_gates(synthetic_report(scaling=2.4))
+        failures = gate_failures(synthetic_report(scaling=2.4))
         assert any("speedup" in f for f in failures)
 
     def test_p99_inflation(self):
-        failures = enforce_gates(synthetic_report(p99_ratio=1.5))
-        assert any("p99 ratio" in f for f in failures)
+        failures = gate_failures(synthetic_report(p99_ratio=1.5))
+        assert any("p99_ratio_vs_1" in f for f in failures)
 
     def test_hedge_floor(self):
-        failures = enforce_gates(synthetic_report(hedge_gain=1.2))
+        failures = gate_failures(synthetic_report(hedge_gain=1.2))
         assert any("hedge" in f for f in failures)
 
     def test_swap_contract(self):
-        failures = enforce_gates(synthetic_report(swap_failed=3))
-        assert any("zero-downtime" in f for f in failures)
+        failures = gate_failures(synthetic_report(swap_failed=3))
+        assert failures == ["swap: failed 3, required == 0"]
 
     def test_kill_contract(self):
-        failures = enforce_gates(synthetic_report(kill_failed=1))
-        assert any("fail-over" in f for f in failures)
-        failures = enforce_gates(synthetic_report(deaths=0))
-        assert any("deaths=0" in f for f in failures)
+        failures = gate_failures(synthetic_report(kill_failed=1))
+        assert failures == ["kill: failed 1, required == 0"]
+        failures = gate_failures(synthetic_report(deaths=0))
+        assert failures == ["kill: deaths 0, required == 1"]
 
     def test_autoscale_contract(self):
-        failures = enforce_gates(synthetic_report(scale_ups=0))
+        failures = gate_failures(synthetic_report(scale_ups=0))
         assert any("autoscale" in f for f in failures)
 
 
 class TestBaselineCompare:
     def test_no_regression(self):
-        assert compare_to_baseline(synthetic_report(), synthetic_report()) == []
+        assert fence_failures(synthetic_report(), synthetic_report()) == []
 
     def test_scaling_regression_flagged(self):
         current = synthetic_report(scaling=2.0)
-        failures = compare_to_baseline(current, synthetic_report(scaling=3.5))
-        assert any("saturation speedup [4]" in f for f in failures)
+        failures = fence_failures(current, synthetic_report(scaling=3.5))
+        assert any("saturation N=4: speedup_vs_1" in f for f in failures)
 
     def test_hedge_regression_flagged(self):
         current = synthetic_report(hedge_gain=1.0)
-        failures = compare_to_baseline(current, synthetic_report(hedge_gain=2.0))
-        assert any("hedge p99 gain" in f for f in failures)
+        failures = fence_failures(current, synthetic_report(hedge_gain=2.0))
+        assert any("hedge: p99_gain" in f for f in failures)
 
     def test_within_allowance_passes(self):
         current = synthetic_report(scaling=3.0)
-        assert compare_to_baseline(
-            current, synthetic_report(scaling=3.5), max_regression=0.25
-        ) == []
+        assert fence_failures(current, synthetic_report(scaling=3.5)) == []
 
 
 class TestRealDrillPlumbing:

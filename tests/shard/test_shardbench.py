@@ -4,17 +4,22 @@ import copy
 
 import pytest
 
-from repro.bench.shardbench import (
-    SCHEMA,
-    compare_to_baseline,
-    enforce_gates,
-    load_report,
-    run_parity_rows,
-    run_pretrain_drill,
-    validate_report,
-    write_report,
-)
+from repro.bench import gate
+from repro.bench.benches import SHARD
+from repro.bench.shardbench import SCHEMA, run_parity_rows, run_pretrain_drill
 from repro.errors import ConfigurationError
+
+
+def gate_failures(report):
+    failures, skipped = gate.gate(SHARD, report)
+    assert skipped == []
+    return failures
+
+
+def fence_failures(report, baseline):
+    failures, skipped = gate.compare(SHARD, report, baseline)
+    assert skipped == []
+    return failures
 
 
 def _report():
@@ -50,63 +55,67 @@ def _report():
 
 class TestValidate:
     def test_complete_report_passes(self):
-        validate_report(_report())
+        gate.validate(SHARD, _report())
 
     def test_wrong_schema_rejected(self):
         bad = dict(_report(), schema="cluster-bench/v1")
         with pytest.raises(ConfigurationError, match="schema"):
-            validate_report(bad)
+            gate.validate(SHARD, bad)
 
     def test_unknown_kind_rejected(self):
         bad = _report()
         bad["rows"].append({"kind": "mystery"})
         with pytest.raises(ConfigurationError, match="unknown kind"):
-            validate_report(bad)
+            gate.validate(SHARD, bad)
 
     def test_missing_key_rejected(self):
         bad = _report()
         del bad["rows"][0]["step_max_abs"]
-        with pytest.raises(ConfigurationError, match="missing keys"):
-            validate_report(bad)
+        with pytest.raises(ConfigurationError, match="missing field 'step_max_abs'"):
+            gate.validate(SHARD, bad)
 
     def test_missing_drill_kind_rejected(self):
         bad = _report()
         bad["rows"] = [r for r in bad["rows"] if r["kind"] != "shard_kill"]
-        with pytest.raises(ConfigurationError, match="missing drill kinds"):
-            validate_report(bad)
+        with pytest.raises(ConfigurationError, match="lacks row kinds"):
+            gate.validate(SHARD, bad)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ConfigurationError, match="rows"):
-            validate_report({"schema": SCHEMA, "rows": []})
+            gate.validate(SHARD, {"schema": SCHEMA, "rows": []})
 
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert enforce_gates(_report()) == []
+        assert gate_failures(_report()) == []
 
     def test_parity_breach_fails(self):
         bad = _report()
         bad["rows"][0]["step_max_abs"] = 1e-6
-        failures = enforce_gates(bad)
+        failures = gate_failures(bad)
         assert any("step_max_abs" in f for f in failures)
 
     def test_resume_divergence_fails(self):
         bad = _report()
         bad["rows"][1]["resume_max_abs"] = 1e-3
-        assert any("diverged" in f for f in enforce_gates(bad))
+        assert gate_failures(bad) == [
+            "pretrain N=2: resume_max_abs 0.001, required <= 1e-10"
+        ]
 
     def test_serving_failure_and_p99_gate(self):
         bad = _report()
         bad["rows"][2]["failed"] = 3
         bad["rows"][2]["p99_ratio"] = 2.0
-        failures = enforce_gates(bad)
-        assert any("request(s) failed" in f for f in failures)
+        failures = gate_failures(bad)
+        assert "serving N=2: failed 3, required == 0" in failures
         assert any("p99" in f for f in failures)
 
     def test_shard_kill_contract(self):
         bad = _report()
         bad["rows"][3]["degraded_requests"] = 0
-        assert any("degraded-mode" in f for f in enforce_gates(bad))
+        assert gate_failures(bad) == [
+            "shard_kill N=2: degraded_requests 0, required >= 1"
+        ]
 
 
 class TestBaseline:
@@ -117,36 +126,36 @@ class TestBaseline:
         current["rows"][2]["throughput_rps"] = (
             base["rows"][2]["throughput_rps"] * 0.9
         )
-        assert compare_to_baseline(current, base, max_regression=0.25) == []
+        assert fence_failures(current, base) == []
 
     def test_p99_regression_caught(self):
         current = _report()
         base = copy.deepcopy(current)
         current["rows"][2]["p99_ratio"] = 2.0
-        failures = compare_to_baseline(current, base, max_regression=0.25)
+        failures = fence_failures(current, base)
         assert any("p99" in f for f in failures)
 
     def test_throughput_regression_caught(self):
         current = _report()
         base = copy.deepcopy(current)
         current["rows"][2]["throughput_rps"] = 1000.0
-        failures = compare_to_baseline(current, base, max_regression=0.25)
+        failures = fence_failures(current, base)
         assert any("throughput" in f for f in failures)
 
 
 class TestRoundTrip:
     def test_write_then_load_then_validate(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(_report(), path)
-        validate_report(load_report(path))
+        gate.write(SHARD, _report(), path)
+        gate.validate(SHARD, gate.load(path))
 
     def test_committed_artifact_is_valid_and_gated(self):
         from pathlib import Path
 
         artifact = Path(__file__).resolve().parents[2] / "BENCH_shard.json"
-        report = load_report(artifact)
-        validate_report(report)
-        assert enforce_gates(report) == []
+        report = gate.load(artifact)
+        gate.validate(SHARD, report)
+        assert gate_failures(report) == []
 
 
 class TestLiveRows:

@@ -117,6 +117,16 @@ class TestDetection:
         violations = check_layering.check(root)
         assert sorted(v[4] for v in violations) == ["repro.nn", "repro.train"]
 
+    def test_cluster_must_not_import_bench(self, tmp_path):
+        """The bench layer declares and gates the cluster bench; the
+        cluster tier keeps only its drills."""
+        root = self._pkg(
+            tmp_path, "repro.cluster", "bad.py",
+            "def f():\n    from repro.bench.gate import validate\n",
+        )
+        violations = check_layering.check(root)
+        assert [v[4] for v in violations] == ["repro.bench"]
+
     def test_cluster_may_import_serve(self, tmp_path):
         root = self._pkg(
             tmp_path, "repro.cluster", "ok.py",

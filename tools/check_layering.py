@@ -21,7 +21,8 @@ fails the build when a package reaches *down* the wrong way:
   composes engines, a single engine never knows it is replicated;
 * ``repro.cluster`` reaches models only *through* the serve layer's
   ``ServableModel`` boundary — never ``repro.train`` / ``repro.nn`` /
-  ``repro.core`` / ``repro.data`` internals directly;
+  ``repro.core`` / ``repro.data`` internals directly — and never imports
+  ``repro.bench``, which declares and gates the cluster bench;
 * ``repro.workloads`` is pure data + replay: traces drive engines and
   routers through their duck-typed ``submit``/``poll`` surface, so the
   package must never import the serve / cluster / train / nn tiers it
@@ -80,6 +81,7 @@ FORBIDDEN = {
         "repro.nn",
         "repro.core",
         "repro.data",
+        "repro.bench",
     ),
     "repro.workloads": (
         "repro.serve",
