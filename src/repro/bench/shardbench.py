@@ -193,7 +193,7 @@ def sharded_pretrain(
     rngs = spawn_generators(stack._seed, 2 * n_layers)
     streams = mask_streams(mask_seed, n_shards)
     store = as_store(checkpoint)
-    loop = TrainLoop(engine=engine, callbacks=callbacks)
+    loop = TrainLoop(callbacks=callbacks)
 
     shards: List[ModelShard] = [
         ModelShard(k, part, kind, _make_sub_stack(stack, part, k, kind), [], meta)
@@ -259,16 +259,13 @@ def sharded_pretrain(
         else:
             _append_block(stack, shards, part, i, kind, rngs[2 * i])
             errors = []
-        steps = []
-        for k, shard in enumerate(shards):
-            sub = shard.model
-            ws = Workspace(name=f"shard{k}-{stack._ckpt_kind}-block{i}")
-            steps.append(
-                sub._block_step(
-                    sub.blocks[i], currents[k], sub.layer_specs[i],
-                    rngs[2 * i + 1], ws,
-                )
+        steps = [
+            shard.model._block_step(
+                shard.model.blocks[i], cur, shard.model.layer_specs[i],
+                rngs[2 * i + 1], engine,
             )
+            for shard, cur in zip(shards, currents)
+        ]
         after = [
             (lambda s=shard, _lr=spec.learning_rate, _i=i:
                 s.apply_cross_decay(_lr, block_index=_i))

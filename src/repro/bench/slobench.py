@@ -35,7 +35,7 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import FeatureCache
 from repro.serve.engine import ConstantServiceModel, ServingEngine
 from repro.serve.registry import ServableModel
-from repro.train.loop import TrainStep
+from repro.train.loop import ModelStep, TrainLoop
 from repro.workloads.patterns import PATTERNS, generate
 from repro.workloads.replay import ReplayReport, TraceReplayer
 from repro.workloads.slo import SLOGate
@@ -69,42 +69,6 @@ def demo_servable(seed: int = 0, n_visible: int = 25, n_hidden: int = 16) -> Ser
 # the mixed train+serve driver
 # ---------------------------------------------------------------------------
 
-class _SAEDriverStep(TrainStep):
-    """Minimal :class:`~repro.train.loop.TrainStep` over one SAE block."""
-
-    kind = "mixed-workload SAE"
-
-    def __init__(self, model, x: np.ndarray, learning_rate: float, workspace):
-        self.model = model
-        self.x = x
-        self.learning_rate = float(learning_rate)
-        self.ws = workspace
-
-    def n_examples(self) -> int:
-        return int(self.x.shape[0])
-
-    def load(self, idx: np.ndarray) -> np.ndarray:
-        return self.x[idx]
-
-    def compute(self, batch):
-        loss, grads = self.model.gradients_into(batch, self.ws)
-        return loss, grads
-
-    def apply(self, grads) -> None:
-        self.model.apply_update(grads, self.learning_rate, workspace=self.ws)
-
-    def engine_compute(self, engine, batch):
-        return engine.sae_gradients(self.model, batch)
-
-    def engine_apply(self, engine, grads) -> None:
-        self.model.apply_update(
-            grads, self.learning_rate, workspace=engine.coordinator_workspace
-        )
-
-    def epoch_metric(self, epoch_losses) -> float:
-        return float(np.mean(epoch_losses)) if epoch_losses else 0.0
-
-
 class TrainLoopDriver:
     """Adapts a real :class:`~repro.train.loop.TrainLoop` to trace replay.
 
@@ -118,9 +82,9 @@ class TrainLoopDriver:
     Steps that find no idle worker are counted in ``contended``.
 
     ``gradient_engine`` routes the gradient computation through a
-    parallel engine (and therefore through its ``engine.worker`` fault
-    site — the chaos-under-load drills use this to kill training while
-    serving keeps its SLO).
+    parallel engine (the chaos-under-load drills kill its worker 1 at the
+    ``engine.worker`` fault site while serving keeps its SLO); omitted,
+    training runs serially, on a W=1 engine.
     """
 
     def __init__(
@@ -137,8 +101,6 @@ class TrainLoopDriver:
     ):
         from repro.data.synth_digits import digit_dataset
         from repro.nn.autoencoder import SparseAutoencoder
-        from repro.runtime.workspace import Workspace
-        from repro.train.loop import TrainLoop
         from repro.utils.rng import as_generator
 
         if step_seconds <= 0:
@@ -151,11 +113,13 @@ class TrainLoopDriver:
         if model is None:
             model = SparseAutoencoder(self.x.shape[1], 12, seed=seed)
         self.model = model
-        self.loop = TrainLoop(engine=gradient_engine)
-        self._step = _SAEDriverStep(
-            model, self.x, learning_rate, Workspace(name="slo-driver")
-        )
+        self.loop = TrainLoop()
         self._rng = as_generator(seed)
+        self._step = ModelStep(
+            model, self.x, float(learning_rate), engine=gradient_engine,
+            rng=self._rng,
+            metric=lambda losses: float(np.mean(losses)) if losses else 0.0,
+        )
         self.batch_size = int(batch_size)
         self.occupy = occupy
         self.step_seconds = float(step_seconds)

@@ -21,35 +21,9 @@ from repro.phi.trace import TimingBreakdown
 from repro.runtime.fusion import fuse_elementwise
 from repro.runtime.offload import OffloadPipeline, OffloadTimeline
 from repro.train.callbacks import TrainingCallback
-from repro.train.loop import TrainLoop, TrainStep
+from repro.train.loop import ModelStep, TrainLoop
 
 _F64 = 8
-
-
-class SimulatedTrainStep(TrainStep):
-    """:class:`~repro.train.loop.TrainStep` base for the simulated trainers.
-
-    Charges the memoized per-update kernel cost of the owning trainer
-    into the loop's simulated clock (and accumulates the per-kernel
-    :class:`~repro.phi.trace.TimingBreakdown` alongside), so functional
-    correctness and Algorithm-1 timing come from the same loop events.
-    """
-
-    def __init__(self, trainer: "SimulatedTrainerBase", x):
-        self.trainer = trainer
-        self.x = x
-        self.breakdown = TimingBreakdown()
-
-    def n_examples(self) -> int:
-        return int(self.x.shape[0])
-
-    def load(self, idx):
-        return self.x[idx]
-
-    def charge(self, n_rows: int) -> float:
-        seconds, bd = self.trainer._update_cost(n_rows)
-        self.breakdown = self.breakdown + bd
-        return seconds
 
 
 class _FitRecorder(TrainingCallback):
@@ -186,35 +160,46 @@ class SimulatedTrainerBase:
         return pipeline.run_analytic(chunk_bytes, per_chunk_compute)
 
     # ------------------------------------------------------------------
-    def _run_fit(
+    def _fit(
         self,
-        step: SimulatedTrainStep,
-        callbacks,
+        model,
+        data,
         rng,
-        metrics: Optional[List[float]] = None,
-    ) -> Tuple[TrainLoop, _FitRecorder]:
-        """Run the unified loop over ``step`` for this trainer's schedule."""
+        callbacks,
+        *,
+        metric=None,
+        keep_metrics: bool = True,
+        **options,
+    ) -> TrainingRunResult:
+        """Train ``model`` on ``data`` through the unified loop for this
+        trainer's schedule, charging each update's memoized kernel cost
+        to the simulated clock.  ``metric`` and ``options`` go to the
+        :class:`~repro.train.loop.ModelStep`; with ``keep_metrics`` the
+        epoch metrics become the result's ``reconstruction_errors``."""
+        breakdown = TimingBreakdown()
+        epoch_metrics: List[float] = []
+
+        def charge(n_rows: int) -> float:
+            nonlocal breakdown
+            seconds, bd = self._update_cost(n_rows)
+            breakdown = breakdown + bd
+            return seconds
+
+        cfg = self.config
+        step = ModelStep(
+            model, data, cfg.learning_rate, rng=rng, metric=metric, charge=charge,
+            **options,
+        )
         loop = TrainLoop(callbacks=callbacks)
         recorder = _FitRecorder()
         loop.monitor.callbacks.append(recorder)
-        cfg = self.config
         loop.run_epochs(
             step,
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             rng=rng,
-            metrics=metrics,
+            metrics=epoch_metrics if keep_metrics else None,
         )
-        return loop, recorder
-
-    def _fit_result(
-        self,
-        loop: TrainLoop,
-        step: SimulatedTrainStep,
-        recorder: _FitRecorder,
-        epoch_metrics: List[float],
-    ) -> TrainingRunResult:
-        """Assemble the functional-run result from the loop's totals."""
         timeline = self._simulate_transfers(loop.simulated_seconds)
         transfer_total = timeline.transfer_total_s if timeline else 0.0
         transfer_exposed = timeline.exposed_transfer_s if timeline else 0.0
@@ -223,7 +208,7 @@ class SimulatedTrainerBase:
             machine_name=self.config.machine.name,
             backend_name=self.config.effective_backend.name,
             simulated_seconds=total,
-            breakdown=step.breakdown,
+            breakdown=breakdown,
             n_updates=recorder.n_updates,
             losses=recorder.losses,
             reconstruction_errors=epoch_metrics,

@@ -13,11 +13,11 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core._simbase import SimulatedTrainerBase, SimulatedTrainStep, _F64
+from repro.core._simbase import SimulatedTrainerBase, _F64
 from repro.core.config import TrainingConfig
 from repro.core.oplist import autoencoder_step_levels
 from repro.core.results import TrainingRunResult
@@ -25,26 +25,6 @@ from repro.errors import ShapeError
 from repro.nn.autoencoder import SparseAutoencoder
 from repro.nn.cost import SparseAutoencoderCost
 from repro.utils.rng import as_generator
-
-
-class _SAEFitStep(SimulatedTrainStep):
-    """Serial SAE kernels + simulated-time charge for the unified loop."""
-
-    kind = "sparse autoencoder"
-
-    def __init__(self, trainer, model, x, learning_rate):
-        super().__init__(trainer, x)
-        self.model = model
-        self.learning_rate = learning_rate
-
-    def compute(self, batch):
-        return self.model.gradients(batch)
-
-    def apply(self, grads) -> None:
-        self.model.apply_update(grads, self.learning_rate)
-
-    def epoch_metric(self, epoch_losses) -> float:
-        return float(self.model.reconstruction_error(self.x))
 
 
 class SparseAutoencoderTrainer(SimulatedTrainerBase):
@@ -108,10 +88,9 @@ class SparseAutoencoderTrainer(SimulatedTrainerBase):
                 cfg.n_visible, cfg.n_hidden, cost=self.cost, seed=cfg.seed
             )
         self._ensure_device_allocations()
-        rng = as_generator(cfg.seed)
-        step = _SAEFitStep(self, model, x, cfg.learning_rate)
-        recon_errors: List[float] = []
-        loop, recorder = self._run_fit(step, callbacks, rng, metrics=recon_errors)
-        result = self._fit_result(loop, step, recorder, recon_errors)
+        result = self._fit(
+            model, x, as_generator(cfg.seed), callbacks,
+            metric=lambda _losses: model.reconstruction_error(x),
+        )
         self.model = model
         return result

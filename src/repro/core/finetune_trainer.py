@@ -9,45 +9,17 @@ on the same simulated machines and can run it functionally on a real
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core._simbase import SimulatedTrainerBase, SimulatedTrainStep, _F64
+from repro.core._simbase import SimulatedTrainerBase, _F64
 from repro.core.config import TrainingConfig
 from repro.core.oplist import mlp_step_levels
 from repro.core.results import TrainingRunResult
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.mlp import DeepNetwork, one_hot
 from repro.utils.rng import as_generator
-
-
-class _SupervisedFitStep(SimulatedTrainStep):
-    """Serial back-propagation kernels + simulated-time charge."""
-
-    kind = "deep network"
-
-    def __init__(self, trainer, network, x, targets, labels, learning_rate):
-        super().__init__(trainer, x)
-        self.network = network
-        self.targets = targets
-        self.labels = labels
-        self.learning_rate = learning_rate
-
-    def load(self, idx):
-        return (self.x[idx], self.targets[idx])
-
-    def compute(self, batch):
-        xb, tb = batch
-        return self.network.gradients(xb, tb)
-
-    def apply(self, grads) -> None:
-        self.network.apply_update(grads, self.learning_rate)
-
-    def epoch_metric(self, epoch_losses) -> float:
-        if self.network.head == "softmax":
-            return float(self.network.accuracy(self.x, self.labels))
-        return float(np.mean(epoch_losses)) if epoch_losses else float("nan")
 
 
 class FinetuneTrainer(SimulatedTrainerBase):
@@ -124,13 +96,13 @@ class FinetuneTrainer(SimulatedTrainerBase):
             if network.head == "softmax"
             else np.asarray(labels, dtype=np.float64)
         )
-        rng = as_generator(cfg.seed)
-        step = _SupervisedFitStep(self, network, x, targets, labels, cfg.learning_rate)
         # ``reconstruction_errors`` carries per-epoch accuracy for softmax
         # heads and stays empty otherwise (historical contract).
-        accuracies: List[float] = []
-        metrics = accuracies if network.head == "softmax" else None
-        loop, recorder = self._run_fit(step, callbacks, rng, metrics=metrics)
-        result = self._fit_result(loop, step, recorder, accuracies)
+        softmax = network.head == "softmax"
+        result = self._fit(
+            network, (x, targets), as_generator(cfg.seed), callbacks,
+            metric=(lambda _losses: network.accuracy(x, labels)) if softmax else None,
+            keep_metrics=softmax,
+        )
         self.network = network
         return result

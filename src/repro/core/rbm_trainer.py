@@ -8,42 +8,17 @@ side runs real contrastive divergence on a real
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core._simbase import SimulatedTrainerBase, SimulatedTrainStep, _F64
+from repro.core._simbase import SimulatedTrainerBase, _F64
 from repro.core.config import TrainingConfig
 from repro.core.oplist import rbm_step_levels
 from repro.core.results import TrainingRunResult
 from repro.errors import ShapeError
 from repro.nn.rbm import RBM
 from repro.utils.rng import as_generator
-
-
-class _RBMFitStep(SimulatedTrainStep):
-    """Serial CD-k kernels + simulated-time charge for the unified loop.
-
-    Draws the Gibbs samples from the same generator the loop shuffles
-    with, preserving the historical RNG call order (one permutation per
-    epoch, then the CD draws batch by batch).
-    """
-
-    kind = "RBM"
-
-    def __init__(self, trainer, model, x, learning_rate, cd_k, rng):
-        super().__init__(trainer, x)
-        self.model = model
-        self.learning_rate = learning_rate
-        self.cd_k = cd_k
-        self.rng = rng
-
-    def compute(self, batch):
-        stats = self.model.contrastive_divergence(batch, k=self.cd_k, rng=self.rng)
-        return stats.reconstruction_error, stats
-
-    def apply(self, stats) -> None:
-        self.model.apply_update(stats, self.learning_rate)
 
 
 class RBMTrainer(SimulatedTrainerBase):
@@ -101,10 +76,7 @@ class RBMTrainer(SimulatedTrainerBase):
         if model is None:
             model = RBM(cfg.n_visible, cfg.n_hidden, seed=cfg.seed)
         self._ensure_device_allocations()
-        rng = as_generator(cfg.seed)
-        step = _RBMFitStep(self, model, x, cfg.learning_rate, self.cd_k, rng)
-        epoch_errors: List[float] = []
-        loop, recorder = self._run_fit(step, callbacks, rng, metrics=epoch_errors)
-        result = self._fit_result(loop, step, recorder, epoch_errors)
+        # A serial step: its CD chains draw from the shuffle generator.
+        result = self._fit(model, x, as_generator(cfg.seed), callbacks, k=self.cd_k)
         self.model = model
         return result

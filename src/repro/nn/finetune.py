@@ -10,7 +10,7 @@ comparison used by the examples and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from repro.runtime.checkpoint import (
     resolve_resume_path,
     restore_rng_into,
 )
-from repro.runtime.workspace import Workspace
 from repro.train.callbacks import TrainingCallback
-from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop, TrainStep
+from repro.train.loop import EVENT_LOG_KEY, EventLog, ModelStep, TrainLoop
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_int, check_positive
 
@@ -44,48 +43,6 @@ class FinetuneResult:
     @property
     def final_loss(self) -> float:
         return self.losses[-1] if self.losses else float("nan")
-
-
-class _SupervisedStep(TrainStep):
-    """Back-propagation kernels for the unified loop (serial + engine)."""
-
-    kind = "deep network"
-
-    def __init__(self, network, x, targets, learning_rate, ws, labels):
-        self.network = network
-        self.x = x
-        self.targets = targets
-        self.learning_rate = learning_rate
-        self.ws = ws
-        self.labels = labels  # integer ids for the accuracy metric
-
-    def n_examples(self) -> int:
-        return int(self.x.shape[0])
-
-    def load(self, idx):
-        return (self.x[idx], self.targets[idx])
-
-    def compute(self, batch):
-        xb, tb = batch
-        loss, grads = self.network.gradients_into(xb, tb, self.ws)
-        return loss, grads
-
-    def apply(self, grads) -> None:
-        self.network.apply_update(grads, self.learning_rate, workspace=self.ws)
-
-    def engine_compute(self, engine, batch):
-        xb, tb = batch
-        return engine.supervised_gradients(self.network, xb, tb)
-
-    def engine_apply(self, engine, grads) -> None:
-        self.network.apply_update(
-            grads, self.learning_rate, workspace=engine.coordinator_workspace
-        )
-
-    def epoch_metric(self, epoch_losses) -> float:
-        if self.network.head == "softmax":
-            return float(self.network.accuracy(self.x, self.labels))
-        return super().epoch_metric(epoch_losses)
 
 
 class _ResultRecorder(TrainingCallback):
@@ -245,7 +202,7 @@ def finetune(
     rng = as_generator(seed)
     store = as_store(checkpoint)
     result = FinetuneResult(network=network)
-    loop = TrainLoop(engine=engine, callbacks=callbacks)
+    loop = TrainLoop(callbacks=callbacks)
     start_epoch = 0
     if resume_from is not None:
         start_epoch, log = _restore_finetune(network, resume_from, rng, engine, result)
@@ -254,10 +211,11 @@ def finetune(
     # is attached after replay because _restore_finetune already reloaded
     # the persisted history.
     loop.monitor.callbacks.append(_ResultRecorder(result, network.head == "softmax"))
-    # Workspace-backed steps: same arithmetic as network.gradients, zero
-    # steady-state allocations (one buffer set per distinct batch shape).
-    ws = Workspace(name="finetune")
-    step = _SupervisedStep(network, x, targets, learning_rate, ws, labels)
+    step = ModelStep(
+        network, (x, targets), learning_rate, engine=engine, rng=rng,
+        metric=(lambda _losses: network.accuracy(x, labels))
+        if network.head == "softmax" else None,
+    )
 
     def _epoch_end(epochs_done: int, _metrics) -> None:
         if store is not None:

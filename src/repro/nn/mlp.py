@@ -341,6 +341,7 @@ class DeepNetwork:
         targets: np.ndarray,
         workspace,
         dropout_masks: Optional[Sequence[np.ndarray]] = None,
+        out: Optional[Sequence[np.ndarray]] = None,
     ):
         """Fused, zero-allocation variant of :meth:`gradients` (paper §IV.B).
 
@@ -354,6 +355,10 @@ class DeepNetwork:
         ``dropout_masks`` follows the :meth:`gradients` contract; masked
         activations land in dedicated workspace buffers, so the dropout
         path stays allocation-free in steady state too.
+
+        ``out`` (arrays in :meth:`parameters` order: W₀, b₀, W₁, b₁, …)
+        receives the gradients in place of the workspace buffers, with the
+        same arithmetic; the returned pairs then alias it.
         """
         ws = workspace
         self._check_dropout_masks(dropout_masks)
@@ -400,24 +405,24 @@ class DeepNetwork:
             else:
                 cur = a
             fed.append(cur)
-        out = activations[-1]
+        y = activations[-1]
 
         # loss and output delta
         last = self.n_layers - 1
         scr_out = ws.buf(f"mlp.scr{last}", (m, self.n_out))
         delta = ws.buf(f"mlp.delta{last}", (m, self.n_out))
         if self.head == "softmax":
-            np.clip(out, 1e-12, None, out=scr_out)
+            np.clip(y, 1e-12, None, out=scr_out)
             np.log(scr_out, out=scr_out)
             scr_out *= targets
             loss = -float(np.sum(scr_out)) / m
-            np.subtract(out, targets, out=delta)
+            np.subtract(y, targets, out=delta)
             delta /= m
         else:
-            np.subtract(out, targets, out=delta)
+            np.subtract(y, targets, out=delta)
             np.multiply(delta, delta, out=scr_out)
             loss = 0.5 * float(np.sum(scr_out)) / m
-            self.layers[-1].activation.mul_grad_into(delta, out, scratch=scr_out)
+            self.layers[-1].activation.mul_grad_into(delta, y, scratch=scr_out)
             delta /= m
         decay_sum = 0
         for i, layer in enumerate(self.layers):
@@ -430,12 +435,15 @@ class DeepNetwork:
         grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers
         for i in range(self.n_layers - 1, -1, -1):
             layer = self.layers[i]
-            gw = ws.buf(f"mlp.gw{i}", layer.w.shape)
+            if out is None:
+                gw = ws.buf(f"mlp.gw{i}", layer.w.shape)
+                gb = ws.buf(f"mlp.gb{i}", (layer.n_out,))
+            else:
+                gw, gb = out[2 * i], out[2 * i + 1]
             np.dot(delta.T, fed[i], out=gw)
             scr_w = ws.buf(f"mlp.scr_w{i}", layer.w.shape)
             np.multiply(layer.w, self.weight_decay, out=scr_w)
             gw += scr_w
-            gb = ws.buf(f"mlp.gb{i}", (layer.n_out,))
             np.sum(delta, axis=0, out=gb)
             grads[i] = (gw, gb)
             if i > 0:
@@ -487,11 +495,8 @@ class DeepNetwork:
         return (self.n_in, self.n_out)
 
     def shard_gradients(self, workspace, out, x, targets, pre=None, rng=None) -> float:
-        """Back-propagation on one shard; the gradients are parked in ``out``."""
-        loss, grads = self.gradients_into(x, targets, workspace)
-        for i, (gw, gb) in enumerate(grads):
-            np.copyto(out[2 * i], gw)
-            np.copyto(out[2 * i + 1], gb)
+        """Back-propagation on one shard, its gradients written into ``out``."""
+        loss, _ = self.gradients_into(x, targets, workspace, out=out)
         return loss
 
     @staticmethod

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.nn.init import normal_init, zeros_init
 from repro.runtime.linalg import HAVE_BLAS, axpy_into, gemm_into
 from repro.utils.mathx import logistic_log1pexp, sigmoid_into
@@ -176,6 +177,7 @@ class RBM:
         workspace=None,
         hidden_mask: Optional[np.ndarray] = None,
         visible_mask: Optional[np.ndarray] = None,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> CDStatistics:
         """CD-k sufficient statistics for a mini-batch ``v0``.
 
@@ -202,14 +204,22 @@ class RBM:
             statistics.  ``v0`` is expected to respect ``visible_mask``.
             The Gibbs chain still draws uniforms for *all* units, keeping
             the stream layout independent of the mask.
+        out:
+            With ``workspace``: the arrays ``(grad_w, grad_b, grad_c)``, in
+            :meth:`parameters` order, that receive the statistics in place
+            of workspace buffers (same arithmetic); the returned statistics
+            alias them.
         """
         v0 = check_matrix_shapes(v0, self.n_visible, "v0")
         k = check_int(k, "k", minimum=1)
         gen = self._rng if rng is None else as_generator(rng)
         if workspace is not None:
             return self._contrastive_divergence_fused(
-                v0, k, gen, sample_visible, workspace, hidden_mask, visible_mask
+                v0, k, gen, sample_visible, workspace, hidden_mask, visible_mask,
+                out,
             )
+        if out is not None:
+            raise ConfigurationError("contrastive_divergence(out=) needs a workspace")
         m = v0.shape[0]
 
         h0_probs = self.hidden_probabilities(v0)
@@ -242,6 +252,7 @@ class RBM:
         self, v0: np.ndarray, k: int, gen, sample_visible: bool, ws,
         hidden_mask: Optional[np.ndarray] = None,
         visible_mask: Optional[np.ndarray] = None,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> CDStatistics:
         """Workspace-backed CD-k: every kernel writes through ``out=``.
 
@@ -303,21 +314,25 @@ class RBM:
             gen.random(out=rand_h)
             np.less(rand_h, hk, out=hs)
 
+        if out is None:
+            out = (
+                ws.buf("rbm.grad_w", (nh, nv)),
+                ws.buf("rbm.grad_b", (nv,)),
+                ws.buf("rbm.grad_c", (nh,)),
+            )
+        grad_w, grad_b, grad_c = out
         # positive phase, then the negative phase *accumulated* into the
         # same buffer by a β=1 GEMM — one output array, no subtract pass
-        grad_w = ws.buf("rbm.grad_w", (nh, nv))
         scr_w = None if HAVE_BLAS else ws.buf("rbm.scr_w", (nh, nv))
         gemm_into(h0.T, v0, grad_w, alpha=1.0 / m)
         gemm_into(hk.T, vk, grad_w, alpha=-1.0 / m, beta=1.0, scratch=scr_w)
 
         diff_v = ws.buf("rbm.diff_v", (m, nv))
         np.subtract(v0, vk, out=diff_v)
-        grad_b = ws.buf("rbm.grad_b", (nv,))
         np.mean(diff_v, axis=0, out=grad_b)
 
         diff_h = ws.buf("rbm.diff_h", (m, nh))
         np.subtract(h0, hk, out=diff_h)
-        grad_c = ws.buf("rbm.grad_c", (nh,))
         np.mean(diff_h, axis=0, out=grad_c)
 
         np.multiply(diff_v, diff_v, out=diff_v)
@@ -368,15 +383,11 @@ class RBM:
         self, workspace, out, v0, pre=None, rng=None, k: int = 1,
         sample_visible: bool = False,
     ) -> float:
-        """CD-k on one shard, its Gibbs chain drawn from ``rng``."""
-        stats = self.contrastive_divergence(
-            v0, k=k, rng=rng, sample_visible=sample_visible, workspace=workspace
-        )
-        # The statistics alias workspace buffers: park them in ``out`` so
-        # the engine may reduce them after the next shard reuses the arena.
-        for dst, src in zip(out, (stats.grad_w, stats.grad_b, stats.grad_c)):
-            np.copyto(dst, src)
-        return stats.reconstruction_error
+        """CD-k on one shard, its Gibbs chain drawn from ``rng``, into ``out``."""
+        return self.contrastive_divergence(
+            v0, k=k, rng=rng, sample_visible=sample_visible, workspace=workspace,
+            out=out,
+        ).reconstruction_error
 
     @staticmethod
     def shard_result(loss: float, grads) -> CDStatistics:

@@ -37,8 +37,7 @@ from repro.runtime.checkpoint import (
     resolve_resume_path,
     restore_rng_into,
 )
-from repro.runtime.workspace import Workspace
-from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop, TrainStep
+from repro.train.loop import EVENT_LOG_KEY, EventLog, ModelStep, TrainLoop
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_matrix_shapes
 
@@ -61,77 +60,6 @@ class LayerSpec:
             )
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
-
-
-class _BlockStep(TrainStep):
-    """Shared :class:`~repro.train.loop.TrainStep` plumbing for one block."""
-
-    def __init__(self, block, x: np.ndarray, spec: LayerSpec, ws: Workspace):
-        self.block = block
-        self.x = x
-        self.spec = spec
-        self.ws = ws
-
-    def n_examples(self) -> int:
-        return int(self.x.shape[0])
-
-    def load(self, idx: np.ndarray) -> np.ndarray:
-        return self.x[idx]
-
-
-class _SAEBlockStep(_BlockStep):
-    """Sparse-autoencoder block kernels (serial + parallel engine)."""
-
-    kind = "sparse autoencoder block"
-
-    def compute(self, batch):
-        loss, grads = self.block.gradients_into(batch, self.ws)
-        return loss, grads
-
-    def apply(self, grads) -> None:
-        self.block.apply_update(grads, self.spec.learning_rate, workspace=self.ws)
-
-    def engine_compute(self, engine, batch):
-        return engine.sae_gradients(self.block, batch)
-
-    def engine_apply(self, engine, grads) -> None:
-        self.block.apply_update(
-            grads, self.spec.learning_rate, workspace=engine.coordinator_workspace
-        )
-
-    def epoch_metric(self, epoch_losses) -> float:
-        return float(self.block.reconstruction_error(self.x))
-
-
-class _RBMBlockStep(_BlockStep):
-    """RBM CD-k block kernels.  Serial Gibbs chains draw from the shuffle
-    generator (the historical contract); engine chains draw from the
-    engine's per-worker streams."""
-
-    kind = "RBM block"
-
-    def __init__(self, block, x, spec, ws, cd_k: int, rng: np.random.Generator):
-        super().__init__(block, x, spec, ws)
-        self.cd_k = cd_k
-        self.rng = rng
-
-    def compute(self, batch):
-        stats = self.block.contrastive_divergence(
-            batch, k=self.cd_k, rng=self.rng, workspace=self.ws
-        )
-        return stats.reconstruction_error, stats
-
-    def apply(self, stats) -> None:
-        self.block.apply_update(stats, self.spec.learning_rate, workspace=self.ws)
-
-    def engine_compute(self, engine, batch):
-        stats = engine.cd_gradients(self.block, batch, k=self.cd_k)
-        return stats.reconstruction_error, stats
-
-    def engine_apply(self, engine, stats) -> None:
-        self.block.apply_update(
-            stats, self.spec.learning_rate, workspace=engine.coordinator_workspace
-        )
 
 
 def _spec_meta(specs: Sequence[LayerSpec]) -> list:
@@ -178,8 +106,9 @@ class _GreedyStack:
     def _make_block(self, n_in: int, spec: LayerSpec, rng):
         raise NotImplementedError
 
-    def _block_step(self, block, x, spec: LayerSpec, rng, ws: Workspace) -> TrainStep:
-        """The block's :class:`~repro.train.loop.TrainStep` kernels."""
+    def _block_step(self, block, x, spec: LayerSpec, rng, engine) -> ModelStep:
+        """The block's training step on ``engine`` (``None``: serial, its
+        CD chains drawing from the shuffle generator ``rng``)."""
         raise NotImplementedError
 
     def _block_transform(self, block, x) -> np.ndarray:
@@ -333,8 +262,9 @@ class _GreedyStack:
         ``engine`` — a :class:`repro.runtime.executor.ParallelGradientEngine`
         — runs every mini-batch update data-parallel across its workers
         (the paper's synchronized layer-wise multi-core pre-training);
-        omitted, each block trains serially through a private workspace.
-        The engine is borrowed, not owned: the caller closes it.
+        omitted, each block trains serially, through a W=1 engine whose
+        CD chains draw from the block's shuffle generator.  The engine is
+        borrowed, not owned: the caller closes it.
 
         ``checkpoint`` — a directory path or
         :class:`~repro.runtime.checkpoint.CheckpointStore` — writes an
@@ -410,7 +340,7 @@ class _GreedyStack:
         rngs = spawn_generators(self._seed, 2 * n_layers)
         self.blocks = []
         self.layer_errors = []
-        loop = TrainLoop(engine=engine, callbacks=callbacks)
+        loop = TrainLoop(callbacks=callbacks)
         start_block, start_epoch, current_errors = 0, 0, []
         if resume_from is not None:
             start_block, start_epoch, current_errors, log = self._restore_pretrain(
@@ -432,10 +362,7 @@ class _GreedyStack:
                 block = self._make_block(n_in, spec, rngs[2 * i])
                 self.blocks.append(block)
                 errors = []
-            # One arena per block: after the first full batch and the first
-            # ragged tail batch every serial step is allocation-free.
-            ws = Workspace(name=f"{self._ckpt_kind}-block{i}")
-            step = self._block_step(block, current, spec, rngs[2 * i + 1], ws)
+            step = self._block_step(block, current, spec, rngs[2 * i + 1], engine)
             epoch_end = None
             if store is not None:
                 epoch_end = lambda done, metrics, _i=i: self._save_pretrain_checkpoint(
@@ -524,10 +451,11 @@ class _GreedyStack:
                 block = self.blocks[i]
 
                 def make_step(buffer, _i=i, _block=block, _spec=spec):
-                    # Called on the stage thread: the workspace arena (and
-                    # the engine's coordinator workspace) pin to it.
-                    ws = Workspace(name=f"{self._ckpt_kind}-stage{_i}")
-                    return self._block_step(_block, buffer, _spec, rngs[2 * _i + 1], ws)
+                    # Called on the stage thread: the engine's workspace
+                    # arenas pin to it.
+                    return self._block_step(
+                        _block, buffer, _spec, rngs[2 * _i + 1], engines[_i]
+                    )
 
                 plans.append(
                     StagePlan(
@@ -538,7 +466,6 @@ class _GreedyStack:
                         make_step=make_step,
                         encode=lambda rows, _b=block: self._block_transform(_b, rows),
                         rng=rngs[2 * i + 1],
-                        engine=engines[i],
                     )
                 )
             pretrainer = PipelinedPretrainer(
@@ -792,8 +719,11 @@ class StackedAutoencoder(_GreedyStack):
     def _make_block(self, n_in, spec, rng):
         return SparseAutoencoder(n_in, spec.n_hidden, cost=self.cost, seed=rng)
 
-    def _block_step(self, block: SparseAutoencoder, x, spec, rng, ws):
-        return _SAEBlockStep(block, x, spec, ws)
+    def _block_step(self, block: SparseAutoencoder, x, spec, rng, engine):
+        return ModelStep(
+            block, x, spec.learning_rate, engine=engine, rng=rng,
+            metric=lambda _losses: block.reconstruction_error(x),
+        )
 
     def _block_transform(self, block: SparseAutoencoder, x):
         return block.encode(x)
@@ -854,8 +784,10 @@ class DeepBeliefNetwork(_GreedyStack):
     def _make_block(self, n_in, spec, rng):
         return RBM(n_in, spec.n_hidden, seed=rng)
 
-    def _block_step(self, block: RBM, x, spec, rng, ws):
-        return _RBMBlockStep(block, x, spec, ws, cd_k=self.cd_k, rng=rng)
+    def _block_step(self, block: RBM, x, spec, rng, engine):
+        return ModelStep(
+            block, x, spec.learning_rate, engine=engine, rng=rng, k=self.cd_k
+        )
 
     def _block_transform(self, block: RBM, x):
         return block.transform(x)

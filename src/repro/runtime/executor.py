@@ -27,7 +27,10 @@ concurrency; this module *executes* it.  Three pieces:
   it, or with a single shard, the same shard tasks run in slot order on
   the calling thread, in one coordinator-owned arena: at that size the
   queue hand-offs and the GIL convoy between the workers cost more than
-  the overlap saves.  Both paths compute bit-identical results.
+  the overlap saves.  Both paths compute bit-identical results.  A lone
+  shard writes the call's result arrays itself, with no reduce pass; so
+  :func:`serial_engine`, the W=1 engine every serial training run goes
+  through, costs what the direct kernel call does.
 
 * :class:`ChunkPrefetcher` — the executable twin of the *simulated*
   :class:`~repro.runtime.offload.OffloadPipeline` (paper Fig. 5): a
@@ -287,11 +290,11 @@ class ParallelGradientEngine:
     def coordinator_workspace(self) -> Workspace:
         """The coordinator-thread arena used for synchronized updates.
 
-        ``*_step`` apply through this workspace; callers that split a
-        step into ``*_gradients`` + ``apply_update`` (the unified
-        :class:`repro.train.loop.TrainLoop` does, to time the apply
-        phase separately) must use the same arena to stay allocation-free
-        and bit-identical to the fused ``*_step`` calls.
+        ``*_step`` apply through this workspace, and so does
+        :class:`repro.train.loop.ModelStep`, which splits every update
+        into a gradient call and ``apply_update`` so the loop can time
+        the apply phase separately: the same arena keeps it
+        allocation-free and bit-identical to the fused ``*_step`` calls.
         """
         return self._coord_ws
 
@@ -370,7 +373,9 @@ class ParallelGradientEngine:
         and reduces the pieces in slot order with weights ``mᵢ/m`` — into
         ``out`` (a sequence of arrays in ``parameters()`` order) when
         given, else into per-model engine accumulators that the next call
-        on the model overwrites.  ``options`` reach every
+        on the model overwrites.  A single shard writes those result
+        arrays itself and there is nothing to reduce (the process engine
+        still parks it in shared memory first).  ``options`` reach every
         ``shard_gradients`` call.
         """
         self._check_open()
@@ -379,20 +384,28 @@ class ParallelGradientEngine:
             plan = self._plans[id(model)] = self._plan(model)
         batch = self._as_batches(batch, plan.widths)
         m = batch[0].shape[0]
-        shards = self._shards(m)
-        weights = [(stop - start) / m for start, stop in shards]
-        k = len(shards)
         staged = self._stage(plan, batch)
-        pre = None
-        if plan.pre is not None and k > 1:
-            self._run_prepass(plan, staged, shards)
-            pre = self._reduce(plan.pre_outs[:k], weights, plan.pre)
-        losses = self._run_shards(plan, staged, shards, pre, options)
-        fault_point(SITE_ENGINE_REDUCE, kind=plan.kind)
-        loss = float(sum(w * l for w, l in zip(weights, losses)))
         grads = plan.acc if out is None else out
-        for j, target in enumerate(grads):
-            self._reduce([slot[j] for slot in plan.outs[:k]], weights, target)
+        if min(self.n_workers, m) == 1 and self._lone_shard_in_place:
+            # One shard, on the calling thread, straight into the result
+            # arrays: nothing to split, weigh or reduce.
+            loss = float(self._shard_task(
+                self._inline[0], plan, staged, None, grads, self._streams[0], options
+            ))
+            fault_point(SITE_ENGINE_REDUCE, kind=plan.kind)
+        else:
+            shards = self._shards(m)
+            weights = [(stop - start) / m for start, stop in shards]
+            k = len(shards)
+            pre = None
+            if plan.pre is not None and k > 1:
+                self._run_prepass(plan, staged, shards)
+                pre = self._reduce(plan.pre_outs[:k], weights, plan.pre)
+            losses = self._run_shards(plan, staged, shards, pre, options)
+            fault_point(SITE_ENGINE_REDUCE, kind=plan.kind)
+            loss = float(sum(w * l for w, l in zip(weights, losses)))
+            for j, target in enumerate(grads):
+                self._reduce([slot[j] for slot in plan.outs[:k]], weights, target)
         self.n_steps += 1
         return model.shard_result(loss, grads)
 
@@ -449,10 +462,14 @@ class ParallelGradientEngine:
     # ------------------------------------------------------------------
     # transport: slot threads, or the calling thread for small calls
     # ------------------------------------------------------------------
+    #: A lone shard writes the call's result arrays on the calling thread
+    #: (the process engine's workers can write only shared memory).
+    _lone_shard_in_place = True
+
     def _plan(self, model) -> _ShardPlan:
-        return _ShardPlan(
-            model, self.n_workers, lambda tag, shape: (None, np.empty(shape))
-        )
+        # A lone shard needs no slot arrays, so a W=1 engine allocates none.
+        n_slots = self.n_workers if self.n_workers > 1 else 0
+        return _ShardPlan(model, n_slots, lambda tag, shape: (None, np.empty(shape)))
 
     def _stage(self, plan: _ShardPlan, batch: List[np.ndarray]):
         """Make ``batch`` visible to the workers; threads share it as is."""
@@ -468,8 +485,8 @@ class ParallelGradientEngine:
         return self._map_shards(
             self._shard_task, batch[0],
             [
-                (plan, [part[lo:hi] for part in batch], pre, stream, options)
-                for (lo, hi), stream in zip(shards, self._streams)
+                (plan, [part[lo:hi] for part in batch], pre, out, stream, options)
+                for (lo, hi), out, stream in zip(shards, plan.outs, self._streams)
             ],
         )
 
@@ -478,13 +495,14 @@ class ParallelGradientEngine:
     ) -> List:
         """``[task(slot_i, *per_shard_args[i]) for each shard i]``, in slot order.
 
-        One shard, or a ``batch`` of fewer than :data:`AUTO_SERIAL_CUTOFF`
-        cells, runs the tasks in turn on the calling thread; otherwise
-        shard *i* runs on slot thread *i*.  Every shard is joined before a
-        failure is re-raised, so no slot thread is still writing its
-        output arrays when the caller sees the exception.
+        A ``batch`` of fewer than :data:`AUTO_SERIAL_CUTOFF` cells runs the
+        tasks in turn on the calling thread (as :meth:`gradients` runs a
+        lone shard); otherwise shard *i* runs on slot thread *i*.  Every
+        shard is joined before a failure is re-raised, so no slot thread
+        is still writing its output arrays when the caller sees the
+        exception.
         """
-        if len(per_shard_args) == 1 or batch.size < AUTO_SERIAL_CUTOFF:
+        if batch.size < AUTO_SERIAL_CUTOFF:
             return [
                 task(slot, *args) for slot, args in zip(self._inline, per_shard_args)
             ]
@@ -506,12 +524,13 @@ class ParallelGradientEngine:
         plan: _ShardPlan,
         shard: List[np.ndarray],
         pre: Optional[np.ndarray],
+        out: Sequence[np.ndarray],
         rng: np.random.Generator,
         options: dict,
     ) -> float:
         fault_point(SITE_ENGINE_WORKER, worker=slot.index, kind=plan.kind)
         return plan.model.shard_gradients(
-            slot.workspace, plan.outs[slot.index], *shard, pre=pre, rng=rng, **options
+            slot.workspace, out, *shard, pre=pre, rng=rng, **options
         )
 
     # ------------------------------------------------------------------
@@ -603,6 +622,21 @@ class ParallelGradientEngine:
             f"ParallelGradientEngine({self.name!r}, n_workers={self.n_workers}, "
             f"blas_threads={self.blas_threads}, {self.n_steps} steps, {state})"
         )
+
+
+def serial_engine(rng: Optional[np.random.Generator] = None) -> ParallelGradientEngine:
+    """The W=1 engine a serial training run goes through.
+
+    Its one shard runs on the calling thread and writes the result arrays
+    in place, and its only RNG stream *is* ``rng`` — the run's shuffle
+    generator, the same object — so CD chains draw exactly what the
+    direct kernels drew from it (with ``None``, from the model's own
+    generator).  It starts no thread and pins no BLAS pool: it needs no
+    ``close``.
+    """
+    engine = ParallelGradientEngine(1, blas_threads=None, name="serial")
+    engine._streams = [rng]
+    return engine
 
 
 # ---------------------------------------------------------------------------

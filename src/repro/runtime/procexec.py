@@ -603,6 +603,10 @@ class ProcessGradientEngine(ParallelGradientEngine):
             for i, (lo, hi) in enumerate(shards)
         ])
 
+    #: Workers write only shared memory: even a lone shard parks its
+    #: pieces in slot 0's segments for the coordinator to reduce.
+    _lone_shard_in_place = False
+
     def _run_shards(self, plan: _SharedPlan, staged, shards, pre, options) -> List:
         """Worker *i* receives stream *i*'s exact state and ships the
         advanced state back, so the coordinator's streams track exactly
@@ -671,7 +675,11 @@ def make_engine(
 
     ``mode``:
 
-    * ``"serial"`` — ``None`` (callers treat a missing engine as serial);
+    * ``"serial"`` — ``None``: a :class:`~repro.train.loop.ModelStep`
+      given no engine trains through
+      :func:`~repro.runtime.executor.serial_engine`, the W=1 engine whose
+      one stream is the run's shuffle generator, and checkpoints record
+      no engine;
     * ``"thread"`` — :class:`~repro.runtime.executor.ParallelGradientEngine`;
     * ``"process"`` — :class:`ProcessGradientEngine`;
     * ``"auto"`` — serial when fewer than 2 usable cores or fewer than 2

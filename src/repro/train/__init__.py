@@ -4,9 +4,9 @@
 every stack in the repository:
 
 * :mod:`repro.train.loop` — :class:`TrainLoop` (iteration, shuffling,
-  serial / parallel-engine / chunk-staged dispatch, checkpoint hooks,
-  the replayable :class:`EventLog`) and the :class:`TrainStep` adapter
-  protocol models plug into;
+  chunk staging, checkpoint hooks, the replayable :class:`EventLog`),
+  the :class:`TrainStep` protocol, and :class:`ModelStep`, the one step
+  every model trains through (serial runs are its W=1 engine);
 * :mod:`repro.train.events` — the structured event bus
   (:class:`UpdateEvent` / :class:`EpochEvent` / :class:`LayerEvent`
   with per-phase :class:`PhaseTimings`);
@@ -45,6 +45,7 @@ from repro.train.loop import (
     EVENT_LOG_KEY,
     ChunkSchedule,
     EventLog,
+    ModelStep,
     TrainLoop,
     TrainStep,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "EVENT_LOG_KEY",
     "ChunkSchedule",
     "EventLog",
+    "ModelStep",
     "TrainLoop",
     "TrainStep",
     "ActivationQueue",

@@ -33,11 +33,11 @@ class PhaseTimings:
 
     The phases mirror the paper's Fig. 5 decomposition of a mini-batch
     update: *load* (staging the batch out of the training set, or a
-    prefetched chunk), *compute* (gradient computation — on the engine
-    path this covers the sharded worker compute), *reduce* (combining
-    shard gradients; zero on the serial path, folded into *compute* when
-    the engine reduces internally), and *apply* (the synchronized
-    parameter update).
+    prefetched chunk), *compute* (the engine's gradient call, its
+    sharded worker compute included), *reduce* (combining shard
+    gradients; the engine reduces inside its gradient call, so the loop
+    folds it into *compute* and records zero here), and *apply* (the
+    synchronized parameter update).
     """
 
     load_s: float = 0.0

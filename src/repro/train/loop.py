@@ -8,22 +8,23 @@ loop events).  The loop owns:
 
 * epoch iteration and mini-batch shuffling (:mod:`repro.train.batches`
   — exactly one ``permutation`` draw per epoch);
-* execution dispatch — serial, data-parallel through a
-  :class:`~repro.runtime.executor.ParallelGradientEngine`, and
-  chunk-staged through a :class:`~repro.runtime.executor.ChunkPrefetcher`
-  (the paper's "training thread uses chunk i−1 while the loading thread
-  stages chunk i"), in any combination;
+* chunk-staged delivery through a
+  :class:`~repro.runtime.executor.ChunkPrefetcher` (the paper's
+  "training thread uses chunk i−1 while the loading thread stages
+  chunk i");
 * the structured event bus (:mod:`repro.train.events`) with per-phase
   wall timing (load / compute / reduce / apply) feeding the callback
   surface (:mod:`repro.train.callbacks`);
 * checkpoint hooks and the replayable :class:`EventLog` that makes a
   resumed run's recorded history equal an uninterrupted run's.
 
-Models plug in through a :class:`TrainStep` adapter that supplies the
-per-model kernels (gradient compute, parameter apply, engine variants,
-optional simulated-time charge); the adapters are deliberately loop-free
-so a grep for ``permutation`` or ``for epoch`` finds exactly one
-training loop in the codebase — this one.
+Models plug in through a :class:`TrainStep`: load rows, compute, apply,
+plus the epoch metric and the simulated-time charge.  Every model in the
+repository trains through the one concrete step, :class:`ModelStep`,
+which runs any shard-protocol model on a gradient engine — a serial run
+is a W=1 engine whose only RNG stream is the run's shuffle generator.
+Steps are deliberately loop-free so a grep for ``permutation`` or
+``for epoch`` finds exactly one training loop in the codebase — this one.
 
 Determinism: the loop draws RNG values in exactly the order the historic
 per-module loops did (one permutation per epoch, then whatever the
@@ -42,23 +43,20 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.executor import ChunkPrefetcher, serial_engine
 from repro.train.batches import batch_bounds, epoch_order
 from repro.train.callbacks import CallbackList, as_callback_list
 from repro.train.events import EpochEvent, LayerEvent, PhaseTimings, UpdateEvent
 
 
 class TrainStep:
-    """Per-model kernels for the unified loop.
+    """One model's update, as the unified loop sees it.
 
-    Subclasses provide the data access and the serial (and optionally
-    parallel-engine) kernels of one model; the loop supplies iteration,
-    shuffling, dispatch, events, and checkpoint hooks.  A ``batch`` is
-    whatever :meth:`load` returns — an array, or a tuple of aligned
-    arrays for supervised steps.
+    Subclasses provide the data access and the compute/apply pair of one
+    update; the loop supplies iteration, shuffling, events, and
+    checkpoint hooks.  A ``batch`` is whatever :meth:`load` returns — an
+    array, or a tuple of aligned arrays for supervised steps.
     """
-
-    #: label used in error messages
-    kind: str = "model"
 
     # -- data access -----------------------------------------------------
     def n_examples(self) -> int:
@@ -79,7 +77,7 @@ class TrainStep:
             return tuple(part[lo:hi] for part in batch)
         return batch[lo:hi]
 
-    # -- serial kernels --------------------------------------------------
+    # -- the update ------------------------------------------------------
     def compute(self, batch):
         """Gradient computation; returns ``(loss, state)``."""
         raise NotImplementedError
@@ -87,17 +85,6 @@ class TrainStep:
     def apply(self, state) -> None:
         """Synchronized parameter update from :meth:`compute`'s state."""
         raise NotImplementedError
-
-    # -- parallel-engine kernels -----------------------------------------
-    def engine_compute(self, engine, batch):
-        raise ConfigurationError(
-            f"{self.kind} step has no parallel-engine kernels"
-        )
-
-    def engine_apply(self, engine, state) -> None:
-        raise ConfigurationError(
-            f"{self.kind} step has no parallel-engine kernels"
-        )
 
     # -- clock + metric --------------------------------------------------
     def charge(self, n_rows: int) -> float:
@@ -116,6 +103,93 @@ class TrainStep:
         for value in epoch_losses:
             total += value
         return total / len(epoch_losses)
+
+
+#: Engine entry point per shard kind.  Training goes through the per-model
+#: wrappers (perfbench's tracer counts them as engine calls); any other
+#: model takes the generic coordinator.
+_ENTRY_POINTS = {"rbm": "cd_gradients", "mlp": "supervised_gradients"}
+
+
+class ModelStep(TrainStep):
+    """The training step of every model: one engine call, one apply.
+
+    Parameters
+    ----------
+    model:
+        Speaks the engines' shard protocol (see
+        :meth:`~repro.runtime.executor.ParallelGradientEngine.gradients`)
+        and has ``apply_update(grads, learning_rate, workspace=)``.
+    data:
+        The training rows: one array, or a tuple of row-aligned arrays
+        (inputs and targets).
+    learning_rate:
+        Passed to every ``apply_update``.
+    engine:
+        The gradient engine every update runs on (borrowed, never
+        closed).  Omitted, the run is serial: a W=1 engine from
+        :func:`~repro.runtime.executor.serial_engine` whose only stream
+        is ``rng``.
+    rng:
+        The run's shuffle generator — the one given to
+        :meth:`TrainLoop.run_epochs` — from which serial CD chains draw.
+    metric:
+        ``metric(epoch_losses) -> float``, the epoch's summary; default:
+        the mean per-update loss.
+    charge:
+        ``charge(n_rows) -> float``, the simulated seconds of one update;
+        default: none.
+    options:
+        Reach every gradient call (e.g. ``k`` for CD-k).
+    """
+
+    def __init__(
+        self,
+        model,
+        data,
+        learning_rate: float,
+        *,
+        engine=None,
+        rng: Optional[np.random.Generator] = None,
+        metric: Optional[Callable[[Sequence[float]], float]] = None,
+        charge: Optional[Callable[[int], float]] = None,
+        **options,
+    ):
+        self.model = model
+        self.data = data
+        self.learning_rate = learning_rate
+        self.engine = engine or serial_engine(rng)
+        self._entry = _ENTRY_POINTS.get(model.shard_kind, "gradients")
+        self._workspace = self.engine.coordinator_workspace
+        self._metric = metric
+        self._charge = charge
+        self._options = options
+
+    def n_examples(self) -> int:
+        return self.rows(self.data)
+
+    def load(self, idx: np.ndarray):
+        if isinstance(self.data, tuple):
+            return tuple(part[idx] for part in self.data)
+        return self.data[idx]
+
+    def compute(self, batch):
+        parts = batch if isinstance(batch, tuple) else (batch,)
+        result = getattr(self.engine, self._entry)(self.model, *parts, **self._options)
+        if isinstance(result, tuple):
+            return result
+        return result.reconstruction_error, result  # CD-k statistics
+
+    def apply(self, grads) -> None:
+        self.model.apply_update(grads, self.learning_rate, workspace=self._workspace)
+
+    def charge(self, n_rows: int) -> float:
+        return 0.0 if self._charge is None else self._charge(n_rows)
+
+    def epoch_metric(self, epoch_losses: Sequence[float]) -> float:
+        if self._metric is None:
+            return super().epoch_metric(epoch_losses)
+        return float(self._metric(epoch_losses))
 
 
 @dataclass(frozen=True)
@@ -244,13 +318,12 @@ class TrainLoop:
     one fine-tuning session — so the global step counter, the simulated
     clock, and the event log are continuous across layers.
 
+    Where an update runs is the step's business: a :class:`ModelStep`
+    carries its engine (a W=1 one for serial runs), so the loop has a
+    single dispatch path — ``compute`` then ``apply``.
+
     Parameters
     ----------
-    engine:
-        Optional :class:`~repro.runtime.executor.ParallelGradientEngine`;
-        present, every update runs the step's ``engine_*`` kernels
-        (data-parallel compute + synchronized apply).  Borrowed, never
-        closed.
     callbacks:
         ``None`` / a single :class:`~repro.train.callbacks.TrainingCallback`
         / a sequence — receives every event; any member may request a
@@ -260,9 +333,8 @@ class TrainLoop:
         Wall-clock source for phase timings (tests inject a fake).
     """
 
-    def __init__(self, *, engine=None, callbacks=None,
+    def __init__(self, *, callbacks=None,
                  clock: Callable[[], float] = time.perf_counter):
-        self.engine = engine
         # The loop owns its member list (internal recorders are appended
         # to it), so a caller's CallbackList is never mutated.
         self.monitor = CallbackList(as_callback_list(callbacks).callbacks)
@@ -358,8 +430,6 @@ class TrainLoop:
                 return
 
     def _chunked_epoch(self, step, epoch, n, batch_size, rng, chunks, losses) -> None:
-        from repro.runtime.executor import ChunkPrefetcher
-
         order = epoch_order(n, rng)
         bounds = batch_bounds(n, chunks.chunk_examples)
         with ChunkPrefetcher(
@@ -382,20 +452,14 @@ class TrainLoop:
 
     def _one_update(self, step, epoch, batch, load_s: float) -> float:
         t0 = self._clock()
-        if self.engine is not None:
-            loss, state = step.engine_compute(self.engine, batch)
-        else:
-            loss, state = step.compute(batch)
+        loss, state = step.compute(batch)
         t1 = self._clock()
-        if self.engine is not None:
-            step.engine_apply(self.engine, state)
-        else:
-            step.apply(state)
+        step.apply(state)
         t2 = self._clock()
         self.step_count += 1
         self.simulated_seconds += step.charge(step.rows(batch))
-        # Engine-path gradient reduction happens inside engine_compute;
-        # it is folded into compute_s (see PhaseTimings).
+        # The engine's gradient reduction happens inside compute; it is
+        # folded into compute_s (see PhaseTimings).
         timings = PhaseTimings(
             load_s=load_s, compute_s=t1 - t0, apply_s=t2 - t1
         )

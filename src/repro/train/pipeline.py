@@ -194,8 +194,10 @@ class StagePlan:
     imports model code.  ``make_step`` is called **on the stage thread**
     (workspace arenas pin to the thread that first touches them) with the
     stage's input buffer and must return the block's
-    :class:`~repro.train.loop.TrainStep`; ``encode`` maps input rows to
-    activations under the block's *current* parameters.
+    :class:`~repro.train.loop.TrainStep` — a
+    :class:`~repro.train.loop.ModelStep` carrying the stage's engine;
+    ``encode`` maps a loaded batch to activations under the block's
+    *current* parameters; ``rng`` is the stage's shuffle generator.
     """
 
     index: int
@@ -205,7 +207,6 @@ class StagePlan:
     make_step: Callable[[np.ndarray], TrainStep]
     encode: Callable[[np.ndarray], np.ndarray]
     rng: np.random.Generator
-    engine: object = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -255,8 +256,8 @@ class _StageStep(TrainStep):
 
     * ``load`` remembers the batch indices (and, free-running, first
       applies any activations that have already arrived);
-    * ``apply`` / ``engine_apply`` delegate, then re-encode the batch
-      with the post-update parameters and push it downstream.
+    * ``apply`` delegates, then re-encodes the batch with the
+      post-update parameters and pushes it downstream.
 
     The inner step trains directly on the stage's materialized input
     buffer, so scattering popped activation rows into that buffer is all
@@ -274,7 +275,6 @@ class _StageStep(TrainStep):
         producer_alive: Optional[Callable[[], bool]],
     ):
         self.inner = inner
-        self.kind = inner.kind
         self._encode = encode
         self._buffer = buffer
         self._in = in_queue
@@ -309,13 +309,6 @@ class _StageStep(TrainStep):
 
     def apply(self, state) -> None:
         self.inner.apply(state)
-        self._push_activations()
-
-    def engine_compute(self, engine, batch):
-        return self.inner.engine_compute(engine, batch)
-
-    def engine_apply(self, engine, state) -> None:
-        self.inner.engine_apply(engine, state)
         self._push_activations()
 
     def charge(self, n_rows: int) -> float:
@@ -440,9 +433,7 @@ class PipelinedPretrainer:
         self.queue_slots = queue_slots
         self.checkpoint_every = int(checkpoint_every)
         self._bus = _SharedBus(callbacks, self._request_stop)
-        self.loops = [
-            TrainLoop(engine=plan.engine, callbacks=[self._bus]) for plan in plans
-        ]
+        self.loops = [TrainLoop(callbacks=[self._bus]) for _ in plans]
         # run() state
         self.buffers: List[np.ndarray] = []
         self.metrics: List[List[float]] = []

@@ -1,8 +1,9 @@
 """Composite :class:`~repro.train.loop.TrainStep` over model shards.
 
 :class:`ShardedTrainStep` drives one inner step per shard through the
-unmodified :class:`~repro.train.loop.TrainLoop` (and, transparently, the
-parallel gradient engine): every loop batch fans out to each shard's
+unmodified :class:`~repro.train.loop.TrainLoop` (the inner
+:class:`~repro.train.loop.ModelStep`\\ s carry their engines, serial or
+parallel): every loop batch fans out to each shard's
 ``compute``/``apply``, a per-shard ``after_apply`` hook advances that
 shard's cross-block decay, and every ``exchange_every`` updates the step
 runs the bounded exchange callback (mask resample + shared-bias sync)
@@ -80,7 +81,6 @@ class ShardedTrainStep(TrainStep):
         self.after_apply = list(after_apply) if after_apply is not None else None
         self.updates_applied = 0
         self.exchanges = 0
-        self.kind = f"sharded[{len(self.steps)}] {self.steps[0].kind}"
 
     # -- data access -----------------------------------------------------
     def n_examples(self) -> int:
@@ -95,7 +95,7 @@ class ShardedTrainStep(TrainStep):
     def narrow(self, batch, lo: int, hi: int):
         return tuple(s.narrow(b, lo, hi) for s, b in zip(self.steps, batch))
 
-    # -- serial kernels --------------------------------------------------
+    # -- the update ------------------------------------------------------
     def compute(self, batch):
         losses, states = [], []
         for s, b in zip(self.steps, batch):
@@ -107,22 +107,6 @@ class ShardedTrainStep(TrainStep):
     def apply(self, states) -> None:
         for k, (s, state) in enumerate(zip(self.steps, states)):
             s.apply(state)
-            if self.after_apply is not None:
-                self.after_apply[k]()
-        self._after_update()
-
-    # -- parallel-engine kernels -----------------------------------------
-    def engine_compute(self, engine, batch):
-        losses, states = [], []
-        for s, b in zip(self.steps, batch):
-            loss, state = s.engine_compute(engine, b)
-            losses.append(float(loss))
-            states.append(state)
-        return self._mean(losses), states
-
-    def engine_apply(self, engine, states) -> None:
-        for k, (s, state) in enumerate(zip(self.steps, states)):
-            s.engine_apply(engine, state)
             if self.after_apply is not None:
                 self.after_apply[k]()
         self._after_update()

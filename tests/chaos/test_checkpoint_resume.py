@@ -177,6 +177,69 @@ class TestFinetuneEngineKill:
             assert np.array_equal(a.b, b.b)
 
 
+class TestKillAnywhereSerial:
+    """A serial run is the W=1 engine, so it carries the engine's kill
+    points: worker 0 before each update's gradient, and the reduce site
+    after it.  Each kill lands after the first snapshot."""
+
+    @staticmethod
+    def _kill_and_resume(run, make_plan, tmp_path):
+        baseline = run()
+        store = CheckpointStore(tmp_path, keep=3)
+        with pytest.raises(FaultError):
+            with inject(make_plan()) as plan:
+                run(checkpoint=store)
+        assert sum(plan.fired(site) for site in ("engine.worker", "engine.reduce")) == 1
+        assert store.latest() is not None, "crash left no snapshot to resume from"
+        return baseline, run(checkpoint=store, resume_from=tmp_path)
+
+    @pytest.mark.parametrize("make_plan", [
+        pytest.param(lambda: FaultPlan.kill_worker(0, nth=4), id="worker0"),
+        pytest.param(lambda: FaultPlan.fail("engine.reduce", nth=7), id="reduce"),
+    ])
+    def test_sae(self, x, tmp_path, make_plan):
+        def run(**ckpt):
+            return _sae(x.shape[1]).pretrain(x, **ckpt)
+
+        baseline, resumed = self._kill_and_resume(run, make_plan, tmp_path)
+        _assert_blocks_equal(baseline, resumed, ("w1", "b1", "w2", "b2"))
+        assert baseline.layer_errors == resumed.layer_errors
+
+    @pytest.mark.parametrize("make_plan", [
+        pytest.param(lambda: FaultPlan.kill_worker(0, nth=5), id="worker0"),
+        pytest.param(lambda: FaultPlan.fail("engine.reduce", nth=9), id="reduce"),
+    ])
+    def test_dbn(self, x, tmp_path, make_plan):
+        v = (x > 0.5).astype(np.float64)
+
+        def run(**ckpt):
+            return _dbn(x.shape[1]).pretrain(v, **ckpt)
+
+        baseline, resumed = self._kill_and_resume(run, make_plan, tmp_path)
+        _assert_blocks_equal(baseline, resumed, ("w", "b", "c"))
+        assert baseline.layer_errors == resumed.layer_errors
+
+    @pytest.mark.parametrize("make_plan", [
+        pytest.param(lambda: FaultPlan.kill_worker(0, nth=4), id="worker0"),
+        pytest.param(lambda: FaultPlan.fail("engine.reduce", nth=8), id="reduce"),
+    ])
+    def test_finetune(self, x, tmp_path, make_plan):
+        labels = np.arange(48) % 10
+
+        def run(**ckpt):
+            net = DeepNetwork([x.shape[1], 9, 10], head="softmax", seed=2)
+            result = finetune(net, x, labels, epochs=4, batch_size=16, seed=7, **ckpt)
+            return net, result.losses
+
+        (baseline, base_losses), (resumed, losses) = self._kill_and_resume(
+            run, make_plan, tmp_path
+        )
+        for a, b in zip(baseline.layers, resumed.layers):
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.b, b.b)
+        assert base_losses == losses
+
+
 class TestResumeValidation:
     def test_worker_count_mismatch_rejected(self, x, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -17,6 +17,7 @@ from repro.nn.autoencoder import SparseAutoencoder
 from repro.nn.mlp import DeepNetwork, one_hot
 from repro.nn.rbm import RBM
 from repro.runtime.workspace import Workspace
+from repro.train.loop import ModelStep
 
 BATCH, N_VISIBLE, N_HIDDEN = 32, 128, 48
 
@@ -88,6 +89,33 @@ class TestZeroAllocationSteadyState:
         ws.freeze()
         peak = _measure_steady_state_peak(step)
         assert peak < PEAK_CEILING_BYTES, f"hot path allocated {peak} bytes"
+
+    @pytest.mark.parametrize("kind", ["sae", "rbm", "mlp"])
+    def test_w1_engine_step(self, kind):
+        # The serial training step: one W=1 engine call, then apply_update
+        # through the engine's coordinator workspace.
+        rng = np.random.default_rng(0)
+        x = rng.random((BATCH, N_VISIBLE))
+        if kind == "sae":
+            model, data = SparseAutoencoder(N_VISIBLE, N_HIDDEN, seed=1), x
+        elif kind == "rbm":
+            model, data = RBM(N_VISIBLE, N_HIDDEN, seed=2), (x < 0.5).astype(np.float64)
+        else:
+            model = DeepNetwork([N_VISIBLE, N_HIDDEN, 10], head="softmax", seed=4)
+            data = (x, one_hot(rng.integers(0, 10, size=BATCH), 10))
+        train = ModelStep(model, data, 0.01, rng=np.random.default_rng(3))
+        batch = train.load(np.arange(BATCH))
+
+        def step():
+            _, grads = train.compute(batch)
+            train.apply(grads)
+
+        step()
+        train.engine.coordinator_workspace.freeze()
+        for slot in train.engine._inline:
+            slot.workspace.freeze()
+        peak = _measure_steady_state_peak(step)
+        assert peak < PEAK_CEILING_BYTES, f"engine step allocated {peak} bytes"
 
     def test_reference_path_does_allocate(self):
         # Sanity check that the methodology can see allocations at all:

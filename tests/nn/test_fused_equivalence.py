@@ -219,3 +219,72 @@ class TestFlatViewMode:
         res = sae.get_flat_parameters(out=out)
         assert res is out
         np.testing.assert_array_equal(out, sae.get_flat_parameters())
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(a).view(np.uint64) for a in arrays]
+
+
+class TestOutArrays:
+    """``out=`` holds exactly the bits the workspace buffers would."""
+
+    @pytest.mark.parametrize("k,sample_visible", [(1, False), (1, True), (2, False)])
+    @pytest.mark.parametrize("rows", [32, 13])  # full and ragged batch
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_rbm_contrastive_divergence(self, k, sample_visible, rows, masked):
+        rbm = RBM(24, 10, seed=3)
+        gen = np.random.default_rng(4)
+        v = (gen.random((rows, 24)) < 0.5).astype(np.float64)
+        masks = {}
+        if masked:
+            masks = {
+                "hidden_mask": (gen.random(10) < 0.7).astype(np.float64),
+                "visible_mask": (gen.random(24) < 0.8).astype(np.float64),
+            }
+            v *= masks["visible_mask"]
+
+        def run(out):
+            return rbm.contrastive_divergence(
+                v, k=k, rng=np.random.default_rng(5), sample_visible=sample_visible,
+                workspace=Workspace(), out=out, **masks,
+            )
+
+        ref = run(None)
+        out = [np.empty_like(p) for p in rbm.parameters()]
+        got = run(out)
+        assert got.grad_w is out[0] and got.grad_b is out[1] and got.grad_c is out[2]
+        for a, b in zip(_bits([ref.grad_w, ref.grad_b, ref.grad_c]), _bits(out)):
+            assert np.array_equal(a, b)
+        assert got.reconstruction_error == ref.reconstruction_error
+
+    def test_rbm_out_needs_a_workspace(self):
+        from repro.errors import ConfigurationError
+
+        rbm = RBM(6, 3, seed=0)
+        with pytest.raises(ConfigurationError, match="workspace"):
+            rbm.contrastive_divergence(
+                np.ones((2, 6)), out=[np.empty_like(p) for p in rbm.parameters()]
+            )
+
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("rows", [33, 7])  # full and ragged batch
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_mlp_gradients_into(self, head, rows, dropout):
+        rng = np.random.default_rng(rows)
+        net = DeepNetwork([12, 9, 6, 4], head=head, weight_decay=1e-3, seed=8)
+        x = rng.random((rows, 12))
+        if head == "softmax":
+            targets = one_hot(rng.integers(0, 4, size=rows), 4)
+        else:
+            targets = rng.random((rows, 4))
+        masks = net.sample_dropout_masks(0.3, rng=1) if dropout else None
+        loss_ref, g_ref = net.gradients_into(x, targets, Workspace(), dropout_masks=masks)
+        ref = [a.copy() for pair in g_ref for a in pair]
+        out = [np.empty_like(p) for p in net.parameters()]
+        loss, grads = net.gradients_into(
+            x, targets, Workspace(), dropout_masks=masks, out=out
+        )
+        assert loss == loss_ref
+        assert all(a is b for a, b in zip([a for pair in grads for a in pair], out))
+        for a, b in zip(_bits(ref), _bits(out)):
+            assert np.array_equal(a, b)

@@ -476,3 +476,63 @@ class TestTaskGraphExecution:
         for name in graph.names:
             for dep in graph.node(name).deps:
                 assert order[dep] < order[name]
+
+
+class TestOneShardInPlace:
+    """A lone shard writes the call's own result arrays: no reduce pass."""
+
+    @staticmethod
+    def _spy(monkeypatch, model):
+        outs, reduces = [], []
+        kernel = type(model).shard_gradients
+
+        def shard_gradients(self, workspace, out, *shard, **kw):
+            outs.append(out)
+            return kernel(self, workspace, out, *shard, **kw)
+
+        reduce = ParallelGradientEngine._reduce
+
+        def spy_reduce(pieces, weights, out):
+            reduces.append(out)
+            return reduce(pieces, weights, out)
+
+        monkeypatch.setattr(type(model), "shard_gradients", shard_gradients)
+        monkeypatch.setattr(ParallelGradientEngine, "_reduce", staticmethod(spy_reduce))
+        return outs, reduces
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_workers,rows", [(1, 9), (2, 1)])
+    def test_out_none_writes_the_engine_accumulators(
+        self, kind, n_workers, rows, monkeypatch
+    ):
+        model = _model(kind)
+        outs, reduces = self._spy(monkeypatch, model)
+        x = np.random.default_rng(3).random((rows, 8))
+        with ParallelGradientEngine(n_workers, blas_threads=None, seed=1) as eng:
+            result = _gradients(eng, model, x, np.random.default_rng(2))
+            (out,) = outs
+            assert out is eng._plans[id(model)].acc
+        assert all(a is b for a, b in zip(result[1:], out))
+        assert reduces == []
+
+    def test_out_arrays_are_written_in_place(self, monkeypatch):
+        model = _model("sae")
+        outs, reduces = self._spy(monkeypatch, model)
+        target = [np.empty_like(p) for p in model.parameters()]
+        x = np.random.default_rng(4).random((9, 8))
+        with ParallelGradientEngine(1, blas_threads=None) as eng:
+            _, grads = eng.sae_gradients(model, x, out=target)
+        assert outs == [target] and reduces == []
+        assert all(a is b for a, b in zip(grads, target))
+
+    def test_flat_objective_writes_the_flat_gradient_views(self, monkeypatch):
+        model = _model("sae")
+        outs, reduces = self._spy(monkeypatch, model)
+        x = np.random.default_rng(5).random((9, 8))
+        with ParallelGradientEngine(1, blas_threads=None) as eng:
+            objective = eng.flat_objective(model)
+            _, grad = objective(model.get_flat_parameters(), x)
+        (out,) = outs
+        assert out is model._flat_grad_views and reduces == []
+        assert grad is model._flat_grad
+        assert all(np.shares_memory(view, grad) for view in out)

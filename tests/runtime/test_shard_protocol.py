@@ -5,8 +5,10 @@ here: one ReLU layer trained on a layer-local objective over a positive
 and a negative batch, with no backward chain through other layers.  It
 speaks the shard protocol documented on
 :meth:`repro.runtime.executor.ParallelGradientEngine.gradients`, and
-trains on the thread engine (both dispatch paths), on the process engine
-and through ``TrainLoop`` with no change to the runtime.
+trains on the thread engine (both dispatch paths), on the process engine,
+through ``TrainLoop`` as a :class:`~repro.train.ModelStep`, and as a
+:class:`~repro.train.PipelinedPretrainer` stage — with no change to the
+runtime or the training package.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from repro.runtime.executor import ParallelGradientEngine
 from repro.runtime.procexec import ProcessGradientEngine, process_engine_available
-from repro.train.loop import TrainLoop, TrainStep
+from repro.train import ModelStep, PipelinedPretrainer, StagePlan, TrainLoop
 
 TOL = 1e-10
 
@@ -50,7 +52,10 @@ class GoodnessLayer:
             grads[1] += dz.sum(axis=0)
         return loss, grads
 
-    def apply_update(self, grads, learning_rate: float) -> None:
+    def hidden(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x @ self.w.T + self.b, 0.0)
+
+    def apply_update(self, grads, learning_rate: float, workspace=None) -> None:
         self.w -= learning_rate * grads[0]
         self.b -= learning_rate * grads[1]
 
@@ -73,34 +78,6 @@ class GoodnessLayer:
     @staticmethod
     def shard_result(loss, grads):
         return loss, grads
-
-
-class GoodnessStep(TrainStep):
-    kind = "forward-forward layer"
-
-    def __init__(self, layer: GoodnessLayer, pos, neg, learning_rate: float):
-        self.layer = layer
-        self.pos = pos
-        self.neg = neg
-        self.learning_rate = learning_rate
-
-    def n_examples(self) -> int:
-        return int(self.pos.shape[0])
-
-    def load(self, idx):
-        return (self.pos[idx], self.neg[idx])
-
-    def compute(self, batch):
-        return self.layer.gradients(*batch)
-
-    def apply(self, grads) -> None:
-        self.layer.apply_update(grads, self.learning_rate)
-
-    def engine_compute(self, engine, batch):
-        return engine.gradients(self.layer, *batch)
-
-    def engine_apply(self, engine, grads) -> None:
-        self.layer.apply_update(grads, self.learning_rate)
 
 
 def _data(m=21, n_in=12, seed=3):
@@ -146,9 +123,10 @@ class TestTrainLoop:
 
         def train(engine):
             layer = GoodnessLayer(12, 9, seed=1)
-            losses = TrainLoop(engine=engine).run_epochs(
-                GoodnessStep(layer, pos, neg, 0.05), epochs=3, batch_size=8,
-                rng=np.random.default_rng(7),
+            rng = np.random.default_rng(7)
+            losses = TrainLoop().run_epochs(
+                ModelStep(layer, (pos, neg), 0.05, engine=engine, rng=rng),
+                epochs=3, batch_size=8, rng=rng,
             )
             return layer, losses
 
@@ -160,3 +138,54 @@ class TestTrainLoop:
         for a, b in zip(serial.parameters(), parallel.parameters()):
             assert float(np.max(np.abs(a - b))) <= TOL
         assert not np.array_equal(parallel.w, GoodnessLayer(12, 9, seed=1).w)
+
+
+class TestPipelineStage:
+    """``StagePlan.make_step`` returns a ``ModelStep``: the layer trains as
+    a pipeline stage, each stage's negatives fixed rows of its width."""
+
+    EPOCHS, BATCH, LR = 3, 8, 0.05
+
+    def _plan(self, index, layer, neg, seed):
+        rng = np.random.default_rng(seed)
+        return StagePlan(
+            index=index, epochs=self.EPOCHS, batch_size=self.BATCH,
+            out_width=layer.w.shape[0],
+            make_step=lambda buffer: ModelStep(layer, (buffer, neg), self.LR, rng=rng),
+            encode=lambda batch: layer.hidden(batch[0]),
+            rng=rng,
+        )
+
+    def _pipeline(self, pos, neg):
+        layers = [GoodnessLayer(12, 9, seed=1), GoodnessLayer(9, 6, seed=2)]
+        neg_hidden = np.random.default_rng(5).normal(0.0, 1.0, (pos.shape[0], 9))
+        plans = [
+            self._plan(0, layers[0], neg, seed=7),
+            self._plan(1, layers[1], neg_hidden, seed=8),
+        ]
+        metrics = PipelinedPretrainer(plans, sync="synchronized").run(pos)
+        return layers, metrics
+
+    def test_synchronized_runs_bit_identical(self):
+        pos, neg = _data(m=40)
+        layers_a, metrics_a = self._pipeline(pos, neg)
+        layers_b, metrics_b = self._pipeline(pos, neg)
+        assert metrics_a == metrics_b
+        for a, b in zip(layers_a, layers_b):
+            for pa, pb in zip(a.parameters(), b.parameters()):
+                assert np.array_equal(pa, pb)
+        assert not np.array_equal(layers_a[1].w, GoodnessLayer(9, 6, seed=2).w)
+
+    def test_one_stage_equals_train_loop(self):
+        pos, neg = _data(m=40)
+        staged = GoodnessLayer(12, 9, seed=1)
+        (metrics,) = PipelinedPretrainer([self._plan(0, staged, neg, seed=7)]).run(pos)
+        plain = GoodnessLayer(12, 9, seed=1)
+        rng = np.random.default_rng(7)
+        losses = TrainLoop().run_epochs(
+            ModelStep(plain, (pos, neg), self.LR, rng=rng),
+            epochs=self.EPOCHS, batch_size=self.BATCH, rng=rng,
+        )
+        assert metrics == losses
+        for a, b in zip(staged.parameters(), plain.parameters()):
+            assert np.array_equal(a, b)
