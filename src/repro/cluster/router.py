@@ -44,6 +44,7 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.replica import Replica, ReplicaConfig
 from repro.errors import ConfigurationError, ServingError
 from repro.serve.batcher import Request
+from repro.serve.cache import key_prefix, payload_bytes
 from repro.serve.registry import ServableModel
 from repro.testing.faults import FaultError, fault_point, register_fault_site
 
@@ -61,11 +62,9 @@ def _stable_hash(data: bytes) -> int:
 
 
 def payload_key(payload: np.ndarray) -> int:
-    """Routing key of a payload: a stable hash of its exact bytes."""
-    payload = np.ascontiguousarray(payload)
-    return _stable_hash(
-        str((payload.shape, payload.dtype.str)).encode() + payload.tobytes()
-    )
+    """Routing key of a payload: a stable hash of its exact key bytes
+    (:func:`repro.serve.cache.payload_bytes`, the feature cache's key)."""
+    return _stable_hash(payload_bytes(payload))
 
 
 @dataclass(eq=False)
@@ -136,32 +135,35 @@ class ConsistentHashPolicy:
     is stable, so per-replica feature caches accumulate hits instead of
     each replica re-deriving every hot item; when a replica joins or
     leaves, only the keys on its ring arcs move (not a full reshuffle).
+
+    Each candidate list (by replica ids, in the order given) has its
+    ring cached as two parallel lists: the vnode hashes in ring order
+    and, for each, its owner's position in the candidate list.  A
+    request costs one bisect on its int key.
     """
 
     def __init__(self, n_vnodes: int = 64):
         if n_vnodes < 1:
             raise ConfigurationError(f"n_vnodes must be >= 1, got {n_vnodes}")
         self.n_vnodes = int(n_vnodes)
-        self._rings: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        self._rings: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
 
-    def _ring(self, ids: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    def _ring(self, ids: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
         ring = self._rings.get(ids)
         if ring is None:
-            ring = sorted(
+            vnodes = sorted(
                 (_stable_hash(f"replica-{rid}-vnode-{v}".encode()), rid)
-                for rid in ids
+                for rid in set(ids)
                 for v in range(self.n_vnodes)
             )
+            ring = [h for h, _ in vnodes], [ids.index(rid) for _, rid in vnodes]
             self._rings[ids] = ring
         return ring
 
     def choose(self, request: ClusterRequest, candidates: Sequence[Replica]) -> Replica:
-        by_id = {r.id: r for r in candidates}
-        ring = self._ring(tuple(sorted(by_id)))
-        i = bisect_left(ring, (request.key, -1))
-        if i == len(ring):
-            i = 0
-        return by_id[ring[i][1]]
+        hashes, owners = self._ring(tuple([r.id for r in candidates]))
+        i = bisect_left(hashes, request.key)
+        return candidates[owners[i if i < len(owners) else 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +263,9 @@ class Router:
         self._ids = itertools.count()
         self._pending: Dict[int, ClusterRequest] = {}
         self._leg_index: Dict[Tuple[int, int], ClusterRequest] = {}
+        # Validation fixes every payload's shape and dtype (and a swap
+        # keeps the input width), so the routing key's prefix is fixed too.
+        self._key_prefix = key_prefix((servable.n_inputs,), np.float64)
         for _ in range(int(n_replicas)):
             self._spawn_replica()
 
@@ -308,7 +313,10 @@ class Router:
             )
         self.metrics.on_received()
         creq = ClusterRequest(
-            id=next(self._ids), key=payload_key(payload), payload=payload, arrival_s=now
+            id=next(self._ids),
+            key=_stable_hash(self._key_prefix + payload.tobytes()),
+            payload=payload,
+            arrival_s=now,
         )
         leg = self._dispatch(creq, now, hedge=False)
         if leg is None:
@@ -427,8 +435,11 @@ class Router:
         self, creq: ClusterRequest, now: float, hedge: bool
     ) -> Optional[Request]:
         """Place one leg on some routable replica; None = everyone refused."""
-        exclude = {leg.replica_id for leg in creq.legs}
-        candidates = [r for r in self._replicas if r.routable and r.id not in exclude]
+        if creq.legs:  # never two legs of one request on one replica
+            exclude = {leg.replica_id for leg in creq.legs}
+            candidates = [r for r in self._replicas if r.routable and r.id not in exclude]
+        else:
+            candidates = [r for r in self._replicas if r.routable]
         while candidates:
             replica = self.policy.choose(creq, candidates)
             try:

@@ -8,16 +8,35 @@ resident on the device across chunks.
 
 Keys are the exact payload bytes (shape + dtype + contents), so the
 cache is only consulted for bit-identical inputs; no tolerance matching.
+:func:`payload_bytes` is the one definition of those bytes: the cache
+and the cluster router's routing key (:func:`repro.cluster.router.payload_key`)
+both use it.  A caller that validated the shape and dtype up front, as
+the serving engine and the router do, builds :func:`key_prefix` once and
+appends ``payload.tobytes()`` per request, which gives the same bytes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+
+def key_prefix(shape: Sequence[int], dtype) -> bytes:
+    """The shape/dtype head of the key bytes of every payload with this
+    shape and dtype."""
+    return str((tuple(int(n) for n in shape), np.dtype(dtype).str)).encode()
+
+
+def payload_bytes(payload: np.ndarray) -> bytes:
+    """A payload's exact key bytes: shape, dtype, then its contents in C
+    order.  Views and copies with equal shape, dtype and contents give
+    equal bytes."""
+    payload = np.ascontiguousarray(payload)
+    return key_prefix(payload.shape, payload.dtype) + payload.tobytes()
 
 
 class FeatureCache:
@@ -32,14 +51,16 @@ class FeatureCache:
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _key(payload: np.ndarray) -> bytes:
-        payload = np.ascontiguousarray(payload)
-        return str((payload.shape, payload.dtype.str)).encode() + payload.tobytes()
-
     def get(self, payload: np.ndarray) -> Optional[np.ndarray]:
         """Cached result for ``payload``, refreshing its recency."""
-        key = self._key(payload)
+        return self.lookup(payload_bytes(payload))
+
+    def put(self, payload: np.ndarray, value: np.ndarray) -> None:
+        """Insert/update an entry, evicting the least recently used."""
+        self.store(payload_bytes(payload), value)
+
+    def lookup(self, key: bytes) -> Optional[np.ndarray]:
+        """:meth:`get` by the payload's :func:`payload_bytes`."""
         value = self._entries.get(key)
         if value is None:
             self.misses += 1
@@ -48,9 +69,8 @@ class FeatureCache:
         self.hits += 1
         return value
 
-    def put(self, payload: np.ndarray, value: np.ndarray) -> None:
-        """Insert/update an entry, evicting the least recently used."""
-        key = self._key(payload)
+    def store(self, key: bytes, value: np.ndarray) -> None:
+        """:meth:`put` by the payload's :func:`payload_bytes`."""
         self._entries[key] = np.asarray(value)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:

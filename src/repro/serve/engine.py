@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Request
-from repro.serve.cache import FeatureCache
+from repro.serve.cache import FeatureCache, key_prefix
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ServableModel
 
@@ -146,6 +146,11 @@ class ServingEngine:
     cache:
         Optional :class:`FeatureCache`; hits complete immediately and
         never touch the queue.
+
+    :meth:`submit` validates every payload itself: it is a public entry
+    point, and the check also fixes the payload's shape and dtype, so
+    the cache key's shape/dtype prefix is built once here and each
+    request appends only its bytes.
     """
 
     def __init__(
@@ -171,6 +176,7 @@ class ServingEngine:
         self.workers = WorkerPool(n_workers)
         self.cache = cache
         self.metrics = metrics if metrics is not None else ServingMetrics()
+        self._key_prefix = key_prefix((servable.n_inputs,), np.float64)
         self._inflight: List[_InFlightBatch] = []
         self._ids = itertools.count()
 
@@ -190,7 +196,7 @@ class ServingEngine:
         self.metrics.on_received()
         request = Request(id=next(self._ids), payload=payload, arrival_s=now)
         if self.cache is not None:
-            hit = self.cache.get(payload)
+            hit = self.cache.lookup(self._key_prefix + payload.tobytes())
             if hit is not None:
                 request.result = hit
                 request.dispatch_s = request.complete_s = now
@@ -288,7 +294,9 @@ class ServingEngine:
                     request.wait_s, batch.done_s - batch.dispatch_s, request.latency_s
                 )
                 if self.cache is not None:
-                    self.cache.put(request.payload, request.result)
+                    self.cache.store(
+                        self._key_prefix + request.payload.tobytes(), request.result
+                    )
                 completed.append(request)
         if self.cache is not None:
             self.metrics.on_evictions(self.cache.evictions)

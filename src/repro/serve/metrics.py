@@ -13,6 +13,7 @@ identical simulated runs produce bit-identical metrics.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +30,13 @@ class LatencyHistogram:
     The buckets give a compact, comparable fingerprint of a run (the
     determinism tests assert two seeded runs produce identical bucket
     counts); the raw samples give exact nearest-rank percentiles.
+
+    :meth:`record` only checks and appends, because it runs several
+    times per served request.  :meth:`bucket_counts` bins the samples
+    recorded since its last call, and each percentile ``q`` that has
+    been asked for is kept up to date the same way (:class:`_RunningRank`),
+    so a caller that asks for p99 after every completion, as the
+    hedging router does, pays O(log n) per sample instead of a sort.
     """
 
     def __init__(self):
@@ -38,17 +46,20 @@ class LatencyHistogram:
         ]
         self._counts = [0] * (n + 2)  # + underflow and overflow buckets
         self._samples: List[float] = []
+        self._binned = 0  # samples already counted in _counts
+        self._ranks: Dict[float, _RunningRank] = {}
 
     def record(self, seconds: float) -> None:
-        if seconds < 0:
+        if not seconds >= 0:  # also rejects NaN
             raise ConfigurationError(f"latency must be >= 0, got {seconds}")
         self._samples.append(float(seconds))
+
+    def _bucket(self, seconds: float) -> int:
+        """Index of ``seconds``'s bucket in ``_counts``."""
         if seconds < self._edges[0]:
-            self._counts[0] += 1
-            return
+            return 0
         if seconds >= self._edges[-1]:
-            self._counts[-1] += 1
-            return
+            return len(self._counts) - 1
         # Bucket index straight from the exponent (uniform in log space).
         i = int((math.log10(seconds) - _LO_EXP) * _BUCKETS_PER_DECADE)
         i = min(max(i, 0), len(self._counts) - 3)
@@ -57,7 +68,7 @@ class LatencyHistogram:
             i -= 1
         while seconds >= self._edges[i + 1]:
             i += 1
-        self._counts[i + 1] += 1
+        return i + 1
 
     @property
     def count(self) -> int:
@@ -77,13 +88,58 @@ class LatencyHistogram:
             raise ConfigurationError(f"percentile must lie in [0, 100], got {q}")
         if not self._samples:
             return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        rank = self._ranks.get(q)
+        if rank is None:
+            rank = self._ranks[q] = _RunningRank(q)
+        return rank.value(self._samples)
 
     def bucket_counts(self) -> Tuple[int, ...]:
         """The bucket-count fingerprint (underflow, …, overflow)."""
+        for seconds in self._samples[self._binned:]:
+            self._counts[self._bucket(seconds)] += 1
+        self._binned = len(self._samples)
         return tuple(self._counts)
+
+
+class _RunningRank:
+    """The nearest-rank ``q``-th percentile of a growing sample list.
+
+    ``low`` is a max-heap (of negated values) holding the ``rank``
+    smallest samples and ``high`` a min-heap holding the rest, where
+    ``rank = max(1, ceil(q / 100 * n))`` as in a sort, so the answer is
+    ``-low[0]``, equal to ``sorted(samples)[rank - 1]``.  Samples are
+    taken in on each call, O(log n) apiece.
+    """
+
+    def __init__(self, q: float):
+        self.q = q
+        self.seen = 0
+        self.low: List[float] = []
+        self.high: List[float] = []
+
+    def value(self, samples: List[float]) -> float:
+        low, high = self.low, self.high
+        if not self.seen:  # first call: split the sorted samples
+            ordered = sorted(samples)
+            k = self._rank(len(ordered))
+            low[:] = [-x for x in reversed(ordered[:k])]  # ascending: a heap
+            high[:] = ordered[k:]
+        else:
+            for x in samples[self.seen:]:
+                if x <= -low[0]:
+                    heapq.heappush(low, -x)
+                else:
+                    heapq.heappush(high, x)
+            k = self._rank(len(samples))
+            while len(low) < k:
+                heapq.heappush(low, -heapq.heappop(high))
+            while len(low) > k:
+                heapq.heappush(high, -heapq.heappop(low))
+        self.seen = len(samples)
+        return -low[0]
+
+    def _rank(self, n: int) -> int:
+        return max(1, math.ceil(self.q / 100.0 * n))
 
 
 class ServingMetrics:

@@ -1,5 +1,7 @@
 """Tests for repro.cluster.benchrun — schema, gates, baseline compare."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import gate
@@ -8,6 +10,7 @@ from repro.cluster.benchrun import (
     SCHEMA,
     drill_replica_config,
     replica_capacity_rps,
+    run_cluster_bench,
     run_saturation_sweep,
 )
 from repro.errors import ConfigurationError
@@ -171,3 +174,14 @@ class TestRealDrillPlumbing:
             run_saturation_sweep(servable, replica_counts=())
         with pytest.raises(ConfigurationError):
             run_saturation_sweep(servable, replica_counts=(0, 2))
+
+
+@pytest.mark.slow
+class TestCommittedBaseline:
+    def test_repo_baseline_is_current(self):
+        """BENCH_cluster.json must equal a fresh --quick run exactly: every
+        drill runs on the simulated clock."""
+        baseline = gate.load(Path(__file__).resolve().parents[2] / "BENCH_cluster.json")
+        fresh = run_cluster_bench(quick=True, seed=baseline["seed"])
+        assert fresh["rows"] == baseline["rows"]
+        assert fresh == baseline

@@ -1,5 +1,8 @@
 """Tests for repro.cluster.router — policies, spillover, hedging, fail-over."""
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.cluster.router import (
     LeastLoadedPolicy,
     RoundRobinPolicy,
     Router,
+    _stable_hash,
     payload_key,
 )
 from repro.errors import ConfigurationError, ServingError
@@ -60,6 +64,46 @@ class TestConstruction:
         a, b = payload(1), payload(2)
         assert payload_key(a) == payload_key(a.copy())
         assert payload_key(a) != payload_key(b)
+
+
+class TestKeyValues:
+    """Routing keys keep the values every simulated-clock drill was
+    recorded with."""
+
+    #: payload_key values recorded before the key format was shared
+    #: between the router and the feature cache.
+    GOLDEN = {
+        "contiguous": 1180649149696084654,
+        "strided": 13142151229948441656,
+        "big_endian": 15468675229241138300,
+        "float32": 15121417239452860091,
+    }
+
+    @staticmethod
+    def payloads():
+        contiguous = np.random.default_rng(11).random(25)
+        return {
+            "contiguous": contiguous,
+            "strided": np.random.default_rng(12).random(50)[::2],
+            "big_endian": contiguous.astype(">f8"),
+            "float32": np.random.default_rng(13).random(25).astype(np.float32),
+        }
+
+    def test_payload_key_golden_values(self):
+        payloads = self.payloads()
+        assert not payloads["strided"].flags["C_CONTIGUOUS"]
+        assert {name: payload_key(p) for name, p in payloads.items()} == self.GOLDEN
+
+    def test_router_keys_the_validated_float64_payload(self, servable):
+        router = make_router(servable, n=2, policy=ConsistentHashPolicy())
+        payloads = self.payloads()
+        keys = {name: router.submit(p, 0.0).key for name, p in payloads.items()}
+        assert keys["contiguous"] == self.GOLDEN["contiguous"]
+        assert keys["strided"] == self.GOLDEN["strided"]
+        # Validation converts to native float64 before keying.
+        assert keys["big_endian"] == self.GOLDEN["contiguous"]
+        assert keys["float32"] == payload_key(payloads["float32"].astype(np.float64))
+        assert router.submit(payloads["contiguous"].tolist(), 0.0).key == keys["contiguous"]
 
 
 class TestRoutingPolicies:
@@ -147,6 +191,22 @@ class TestPolicyContracts:
         assert moved <= len(keys) * 2 / 4
         # Every remapped key went TO the new member, never between old ones.
         assert all(after[k] == 4 for k in keys if before[k] != after[k])
+
+    def test_consistent_hash_matches_the_tuple_ring(self):
+        """The list ring picks what a sorted (hash, id) tuple ring picks,
+        for any candidate order and for sparse ids."""
+        keys = self.keyset() + [0, 2**64 - 1]
+        policy = ConsistentHashPolicy(n_vnodes=16)
+        for ids in ([0, 1], [0, 1, 2, 3], [3, 1, 2], [7], [2, 9, 40]):
+            ring = sorted(
+                (_stable_hash(f"replica-{rid}-vnode-{v}".encode()), rid)
+                for rid in ids
+                for v in range(16)
+            )
+            for key in keys:
+                i = bisect_left(ring, (key, -1))
+                expected = ring[i if i < len(ring) else 0][1]
+                assert self.assignments(policy, [key], ids)[key] == expected
 
     def test_consistent_hash_remove_replica_rebalance_bound(self):
         """Removing one replica from N=5 remaps ≤ 2/N of a fixed keyset."""
@@ -272,6 +332,31 @@ class TestHedging:
         for _ in range(10):
             router.metrics.on_completed(0.5, cache_hit=False)
         assert router.hedge_deadline_s() == pytest.approx(1.0)
+
+    def test_deadline_is_exact_p99_through_a_seeded_hedged_run(self, servable):
+        hedge = HedgePolicy(multiplier=2.0, min_deadline_s=0.005, warmup=20)
+        router = make_router(servable, n=2, hedge=hedge)
+        rng = np.random.default_rng(4)
+        samples, checked, t = [], 0, 0.0
+        with inject(self.straggler_plan(factor=3.0)):
+            for _ in range(600):
+                t += rng.exponential(1 / 250.0)
+                router.submit(rng.random(25), t)
+                done = router.poll(t)
+                samples.extend(creq.latency_s for creq in done)
+                if not done:
+                    continue
+                expected = hedge.min_deadline_s
+                if len(samples) >= hedge.warmup:
+                    rank = max(1, math.ceil(99 / 100.0 * len(samples)))
+                    p99 = sorted(samples)[rank - 1]
+                    assert router.metrics.latency.percentile(99) == p99
+                    expected = max(expected, hedge.multiplier * p99)
+                    checked += 1
+                assert router.metrics.latency.count == len(samples)
+                assert router.hedge_deadline_s() == expected
+        assert checked > 100
+        assert router.metrics.hedges_launched > 0
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError, match="multiplier"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.cache import FeatureCache
+from repro.serve.cache import FeatureCache, key_prefix, payload_bytes
 
 
 class TestFeatureCache:
@@ -21,6 +21,22 @@ class TestFeatureCache:
         cache = FeatureCache()
         cache.put(np.array([1.0, 2.0]), np.array([0.0]))
         assert cache.get(np.array([1.0, 2.0 + 1e-12])) is None
+
+    def test_key_bytes_are_shape_dtype_then_contents(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert payload_bytes(x) == b"((2, 3), '<f8')" + x.tobytes()
+        assert payload_bytes(np.asfortranarray(x)) == payload_bytes(x)
+        assert payload_bytes(x[:, ::2]) == key_prefix((2, 2), np.float64) + x[:, ::2].tobytes()
+        assert payload_bytes(x.astype(">f8")) != payload_bytes(x)
+
+    def test_lookup_and_store_share_entries_with_get_and_put(self):
+        cache = FeatureCache()
+        x = np.array([1.0, 2.0])
+        cache.store(key_prefix((2,), np.float64) + x.tobytes(), np.array([7.0]))
+        np.testing.assert_array_equal(cache.get(x), [7.0])
+        cache.put(x, np.array([8.0]))
+        np.testing.assert_array_equal(cache.lookup(payload_bytes(x)), [8.0])
+        assert len(cache) == 1 and cache.hits == 2
 
     def test_shape_distinguished(self):
         cache = FeatureCache()

@@ -168,6 +168,32 @@ class TestServingEngine:
         np.testing.assert_array_equal(second.result, first.result)
         assert engine.metrics.cache_hits == 1
 
+    def test_value_equal_payloads_share_one_cache_entry(self, servable):
+        engine = make_engine(
+            servable, policy=BatchPolicy(max_batch_size=1, max_wait_s=0.0),
+            cache=FeatureCache(),
+        )
+        x = np.random.default_rng(11).random(25)
+        first = engine.submit(x, now=0.0)
+        engine.poll(0.0)
+        engine.poll(1.0)  # retire → populates the cache
+        assert not first.cache_hit
+        strided = np.zeros(50)
+        strided[::2] = x
+        variants = [x.copy(), strided[::2], x.astype(">f8"), x.tolist()]
+        for i, variant in enumerate(variants):
+            request = engine.submit(variant, now=2.0 + i)
+            assert request.cache_hit
+            np.testing.assert_array_equal(request.result, first.result)
+        # float32 input is validated to float64: value-equal to its cast.
+        rounded = x.astype(np.float32)
+        assert not engine.submit(rounded, now=10.0).cache_hit
+        engine.poll(10.0)
+        engine.poll(11.0)
+        assert engine.submit(rounded.astype(np.float64), now=12.0).cache_hit
+        assert len(engine.cache) == 2
+        assert engine.metrics.cache_hits == 5
+
     def test_cache_miss_counted_and_hit_rate_tracks(self, servable, rng):
         engine = make_engine(
             servable, policy=BatchPolicy(max_batch_size=1, max_wait_s=0.0),
