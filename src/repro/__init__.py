@@ -33,7 +33,8 @@ Sub-packages:
 * :mod:`repro.cluster` — sharded multi-replica serving: router, hedging,
   zero-downtime swap, autoscaler;
 * :mod:`repro.shard` — dropout-decoupled model parallelism: column
-  partitioner, deterministic mask streams, per-shard checkpoints;
+  partitioner, per-shard checkpoints (sharded pre-training is
+  :func:`repro.nn.sharded.sharded_pretrain`);
 * :mod:`repro.workloads` — replayable workload traces, the pattern
   catalog, the trace replayer, and SLO gates.
 """
@@ -192,7 +193,6 @@ _SHARD_EXPORTS = frozenset(
         "ModelShard",
         "partition_model",
         "merge_shards",
-        "mask_streams",
         "gather_outputs",
         "shard_servables",
         "save_shard_checkpoint",
@@ -231,10 +231,14 @@ def __getattr__(name: str):
             from repro.cluster import ShardRouter
 
             return ShardRouter
-        if name in ("sharded_pretrain", "run_shard_bench"):
-            import repro.bench.shardbench as _shardbench
+        if name == "sharded_pretrain":
+            from repro.nn.sharded import sharded_pretrain
 
-            return getattr(_shardbench, name)
+            return sharded_pretrain
+        if name == "run_shard_bench":
+            from repro.bench.shardbench import run_shard_bench
+
+            return run_shard_bench
         import repro.shard as _shard
 
         # partition/merge get explicit names at the top level: "partition"
@@ -354,7 +358,6 @@ __all__ = [
     "ModelShard",
     "partition_model",
     "merge_shards",
-    "mask_streams",
     "gather_outputs",
     "shard_servables",
     "save_shard_checkpoint",

@@ -46,7 +46,7 @@ from repro.bench.hotpath import run_hotpath_bench
 
 # The shard bench pulls in the serving + cluster tiers; keep it lazy so
 # `import repro` (which imports repro.bench eagerly) stays cluster-free.
-_SHARDBENCH_EXPORTS = ("run_shard_bench", "sharded_pretrain", "shardbench")
+_SHARDBENCH_EXPORTS = ("run_shard_bench", "shardbench")
 
 
 def __getattr__(name):
@@ -88,6 +88,5 @@ __all__ = [
     "simulate_seconds",
     "run_hotpath_bench",
     "run_shard_bench",
-    "sharded_pretrain",
     "shardbench",
 ]

@@ -21,8 +21,10 @@ from repro.runtime.checkpoint import (
     CheckpointStore,
     as_store,
     capture_rng,
+    engine_state,
     load_npz,
     resolve_resume_path,
+    restore_engine_state,
     restore_rng_into,
 )
 from repro.train.callbacks import TrainingCallback
@@ -88,9 +90,7 @@ def _save_finetune_checkpoint(
         "model": _network_meta(network),
         "epochs_done": epochs_done,
         "rng_state": capture_rng(rng),
-        "engine": None
-        if engine is None
-        else {"n_workers": engine.n_workers, "streams": engine.capture_rng_streams()},
+        "engine": engine_state(engine),
         "losses": [float(v) for v in result.losses],
         "train_accuracy": [float(v) for v in result.train_accuracy],
         "n_updates": result.n_updates,
@@ -117,19 +117,7 @@ def _restore_finetune(
         )
     if header.get("model") != _network_meta(network):
         raise CheckpointError(f"{path}: checkpoint does not match this network")
-    engine_meta = header.get("engine")
-    if (engine_meta is None) != (engine is None):
-        raise CheckpointError(
-            "resume must use the same execution mode as the checkpointed run "
-            "(parallel engine vs serial)"
-        )
-    if engine is not None:
-        if engine_meta["n_workers"] != engine.n_workers:
-            raise CheckpointError(
-                f"checkpoint was taken at n_workers={engine_meta['n_workers']} "
-                f"but the engine has {engine.n_workers}"
-            )
-        engine.restore_rng_streams(engine_meta["streams"])
+    restore_engine_state(header.get("engine"), engine)
     restore_rng_into(rng, header["rng_state"])
     for i, layer in enumerate(network.layers):
         layer.w = np.ascontiguousarray(arrays[f"w{i}"], dtype=np.float64)

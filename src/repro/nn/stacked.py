@@ -8,6 +8,11 @@ flavours from the paper are provided:
 * :class:`StackedAutoencoder` — blocks are sparse autoencoders;
 * :class:`DeepBeliefNetwork` — blocks are RBMs (Hinton's DBN).
 
+:meth:`_GreedyStack._cascade` is the one greedy block loop: ``pretrain``
+runs it over the stack's own full-width blocks, and
+:func:`repro.nn.sharded.sharded_pretrain` over N shards (see
+:class:`_Cascade`).
+
 Pre-training is **crash-consistent**: pass ``checkpoint=`` to
 :meth:`~_GreedyStack.pretrain` to write an atomic epoch-granular snapshot
 (parameters of every block so far, all RNG stream positions, per-worker
@@ -33,8 +38,10 @@ from repro.runtime.checkpoint import (
     CheckpointStore,
     as_store,
     capture_rng,
+    engine_state,
     load_npz,
     resolve_resume_path,
+    restore_engine_state,
     restore_rng_into,
 )
 from repro.train.loop import EVENT_LOG_KEY, EventLog, ModelStep, TrainLoop
@@ -76,6 +83,67 @@ def _spec_meta(specs: Sequence[LayerSpec]) -> list:
 
 def _as_param(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+class _Cascade:
+    """What :meth:`_GreedyStack._cascade` trains: here the stack's own
+    full-width blocks.
+
+    The loop is the same for every greedy run; this class supplies the
+    points where runs differ.  :func:`repro.nn.sharded.sharded_pretrain`
+    trains N sub-stacks side by side through a subclass.
+    """
+
+    def __init__(self, stack: "_GreedyStack"):
+        self.stack = stack
+        #: the stacks whose blocks train side by side, each on its own input
+        self.models = [stack]
+
+    def place(self, index: int, block) -> None:
+        """Take block ``index``, freshly initialised at full width."""
+        self.stack.blocks.append(block)
+
+    def loop_step(self, index: int, steps: list, first_epoch: int):
+        """The loop's step for block ``index`` from the models' block
+        steps; ``first_epoch`` is where the loop starts (resume)."""
+        return steps[0]
+
+    def transform(self, index: int, inputs: list) -> list:
+        """Each model's inputs through its trained block ``index``."""
+        return [
+            m._block_transform(m.blocks[index], x) for m, x in zip(self.models, inputs)
+        ]
+
+    def trained(self, index: int):
+        """What ``callback`` receives for block ``index``."""
+        return self.stack.blocks[index]
+
+    def finish(self) -> None:
+        pass
+
+    # -- snapshots -------------------------------------------------------
+    def save(self, store: CheckpointStore, state: dict, arrays: dict, tag: str) -> None:
+        stack = self.stack
+        for j, block in enumerate(stack.blocks):
+            arrays.update(stack._block_arrays(j, block))
+        header = {
+            "kind": stack._ckpt_kind,
+            "phase": "pretrain",
+            "model": stack._ckpt_model_meta(),
+            **state,
+        }
+        store.save(header, arrays, tag=tag)
+
+    def read(self, resume_from) -> Tuple[dict, dict]:
+        return self.stack._read_snapshot(resume_from, "greedy")
+
+    def restore(self, header: dict, arrays: dict, rngs) -> None:
+        """Rebuild blocks ``0 … block_index`` from the snapshot's arrays."""
+        stack = self.stack
+        stack.blocks = [
+            stack._block_from_arrays(stack.layer_sizes[j], stack.layer_specs[j], arrays, j)
+            for j in range(int(header["block_index"]) + 1)
+        ]
 
 
 class _GreedyStack:
@@ -124,41 +192,9 @@ class _GreedyStack:
         raise NotImplementedError
 
     # -- checkpoint plumbing ---------------------------------------------
-    def _save_pretrain_checkpoint(
-        self,
-        store: CheckpointStore,
-        block_index: int,
-        epochs_done: int,
-        current_errors: List[float],
-        rngs,
-        engine,
-        loop: TrainLoop,
-    ) -> None:
-        header = {
-            "kind": self._ckpt_kind,
-            "phase": "pretrain",
-            "model": self._ckpt_model_meta(),
-            "block_index": block_index,
-            "epochs_done": epochs_done,
-            "rng_states": [capture_rng(g) for g in rngs],
-            "engine": None
-            if engine is None
-            else {
-                "n_workers": engine.n_workers,
-                "streams": engine.capture_rng_streams(),
-            },
-            "layer_errors": [list(e) for e in self.layer_errors],
-            "current_errors": [float(e) for e in current_errors],
-        }
-        arrays = {EVENT_LOG_KEY: loop.log.to_array()}
-        for j, block in enumerate(self.blocks):
-            arrays.update(self._block_arrays(j, block))
-        store.save(header, arrays, tag=f"block{block_index}-epoch{epochs_done}")
-
-    def _restore_pretrain(
-        self, resume_from, rngs, engine
-    ) -> Tuple[int, int, List[float], EventLog]:
-        """Rebuild state from a snapshot; returns (block, epoch, current errors)."""
+    def _read_snapshot(self, resume_from, strategy: str) -> Tuple[dict, dict]:
+        """Load a pretrain snapshot of this stack that ``strategy`` wrote;
+        returns ``(header, arrays)``."""
         path = resolve_resume_path(resume_from)
         header, arrays = load_npz(path)
         if header.get("kind") != self._ckpt_kind or header.get("phase") != "pretrain":
@@ -166,56 +202,17 @@ class _GreedyStack:
                 f"{path}: not a {self._ckpt_kind} pretrain checkpoint "
                 f"(found kind={header.get('kind')!r}, phase={header.get('phase')!r})"
             )
-        if header.get("strategy") is not None:
+        written = (header.get("strategy") or {}).get("name", "greedy")
+        if written != strategy:
             raise CheckpointError(
-                f"{path}: checkpoint was written by the "
-                f"{header['strategy'].get('name')!r} strategy; resume with the "
-                f"same strategy= it was taken under"
+                f"{path}: checkpoint was written by the {written!r} strategy; "
+                f"resume with strategy={written!r}"
             )
         if header.get("model") != self._ckpt_model_meta():
             raise CheckpointError(
                 f"{path}: checkpoint hyper-parameters do not match this stack"
             )
-        engine_meta = header.get("engine")
-        if (engine_meta is None) != (engine is None):
-            raise CheckpointError(
-                "resume must use the same execution mode as the checkpointed "
-                "run (parallel engine vs serial)"
-            )
-        if engine is not None:
-            if engine_meta["n_workers"] != engine.n_workers:
-                raise CheckpointError(
-                    f"checkpoint was taken at n_workers="
-                    f"{engine_meta['n_workers']} but the engine has "
-                    f"{engine.n_workers}; bit-identical resume requires the "
-                    f"same worker count"
-                )
-            engine.restore_rng_streams(engine_meta["streams"])
-        states = header["rng_states"]
-        if len(states) != len(rngs):
-            raise CheckpointError(
-                f"checkpoint carries {len(states)} RNG streams, expected {len(rngs)}"
-            )
-        for gen, state in zip(rngs, states):
-            restore_rng_into(gen, state)
-        block_index = int(header["block_index"])
-        epochs_done = int(header["epochs_done"])
-        self.blocks = []
-        n_in = self.n_visible
-        for j in range(block_index + 1):
-            spec = self.layer_specs[j]
-            self.blocks.append(self._block_from_arrays(n_in, spec, arrays, j))
-            n_in = spec.n_hidden
-        self.layer_errors = [list(e) for e in header["layer_errors"]]
-        # Legacy checkpoints (pre repro.train) carry no event log; resume
-        # still works, with an empty replayed history.
-        log = EventLog.from_array(arrays.get(EVENT_LOG_KEY))
-        return (
-            block_index,
-            epochs_done,
-            [float(e) for e in header["current_errors"]],
-            log,
-        )
+        return header, arrays
 
     # -- the layer-wise cascade ------------------------------------------
     def pretrain(
@@ -292,7 +289,9 @@ class _GreedyStack:
         snapshot period in epochs.  Checkpoints are strategy-tagged and
         only resume under the strategy that wrote them; within the
         pipelined strategy, kill-anywhere resume is bit-identical per
-        layer at a fixed seed (``sync="synchronized"`` only).
+        layer at a fixed seed (``sync="synchronized"`` only).  Sharded
+        pre-training, :func:`repro.nn.sharded.sharded_pretrain`, runs the
+        greedy loop over the stack's shards.
         """
         if strategy not in ("greedy", "pipelined"):
             raise ConfigurationError(
@@ -334,6 +333,32 @@ class _GreedyStack:
                 "sync=, engine_mode=, n_workers=, queue_slots= and "
                 "checkpoint_every= only apply to strategy='pipelined'"
             )
+        self._cascade(
+            _Cascade(self),
+            x,
+            engine=engine,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            callbacks=callbacks,
+            callback=callback,
+            chunks=chunks,
+        )
+        return self
+
+    def _cascade(
+        self,
+        plan: "_Cascade",
+        x: np.ndarray,
+        *,
+        engine,
+        checkpoint,
+        resume_from,
+        callbacks,
+        callback,
+        chunks=None,
+    ) -> None:
+        """The one greedy block loop: block i trains on the output of
+        blocks 0…i−1, through ``plan``'s models side by side."""
         x = check_matrix_shapes(x, self.n_visible, "x")
         store = as_store(checkpoint)
         n_layers = len(self.layer_specs)
@@ -343,37 +368,63 @@ class _GreedyStack:
         loop = TrainLoop(callbacks=callbacks)
         start_block, start_epoch, current_errors = 0, 0, []
         if resume_from is not None:
-            start_block, start_epoch, current_errors, log = self._restore_pretrain(
-                resume_from, rngs, engine
-            )
-            loop.resume_from_log(log)
+            header, arrays = plan.read(resume_from)
+            restore_engine_state(header.get("engine"), engine)
+            states = header["rng_states"]
+            if len(states) != len(rngs):
+                raise CheckpointError(
+                    f"checkpoint carries {len(states)} RNG streams, expected {len(rngs)}"
+                )
+            plan.restore(header, arrays, rngs)
+            for gen, state in zip(rngs, states):
+                restore_rng_into(gen, state)
+            start_block = int(header["block_index"])
+            start_epoch = int(header["epochs_done"])
+            current_errors = [float(e) for e in header["current_errors"]]
+            self.layer_errors = [list(e) for e in header["layer_errors"]]
+            # Legacy checkpoints (pre repro.train) carry no event log; resume
+            # still works, with an empty replayed history.
+            loop.resume_from_log(EventLog.from_array(arrays.get(EVENT_LOG_KEY)))
         # The input of the resumed block is a pure function of the completed
         # blocks, so it is recomputed rather than checkpointed.
-        current = x
-        for block in self.blocks[:start_block]:
-            current = self._block_transform(block, current)
-        n_in = self.layer_sizes[start_block]
+        currents = [x] * len(plan.models)
+        for j in range(start_block):
+            currents = plan.transform(j, currents)
         for i in range(start_block, n_layers):
             spec = self.layer_specs[i]
-            if i == start_block and len(self.blocks) > i:
-                block = self.blocks[i]  # in-progress block from the snapshot
-                errors = current_errors
+            if i == start_block and len(plan.models[0].blocks) > i:
+                errors = current_errors  # in-progress block from the snapshot
             else:
-                block = self._make_block(n_in, spec, rngs[2 * i])
-                self.blocks.append(block)
+                plan.place(i, self._make_block(self.layer_sizes[i], spec, rngs[2 * i]))
                 errors = []
-            step = self._block_step(block, current, spec, rngs[2 * i + 1], engine)
+            first_epoch = start_epoch if i == start_block else 0
+            step = plan.loop_step(
+                i,
+                [
+                    m._block_step(m.blocks[i], cur, m.layer_specs[i], rngs[2 * i + 1], engine)
+                    for m, cur in zip(plan.models, currents)
+                ],
+                first_epoch,
+            )
             epoch_end = None
             if store is not None:
-                epoch_end = lambda done, metrics, _i=i: self._save_pretrain_checkpoint(
-                    store, _i, done, metrics, rngs, engine, loop
-                )
+                def epoch_end(done, metrics, _i=i):
+                    state = {
+                        "block_index": _i,
+                        "epochs_done": done,
+                        "rng_states": [capture_rng(g) for g in rngs],
+                        "engine": engine_state(engine),
+                        "layer_errors": [list(e) for e in self.layer_errors],
+                        "current_errors": [float(e) for e in metrics],
+                    }
+                    arrays = {EVENT_LOG_KEY: loop.log.to_array()}
+                    plan.save(store, state, arrays, tag=f"block{_i}-epoch{done}")
             loop.run_epochs(
                 step,
                 epochs=spec.epochs,
                 batch_size=spec.batch_size,
                 rng=rngs[2 * i + 1],
-                start_epoch=start_epoch if i == start_block else 0,
+                start_epoch=first_epoch,
                 metrics=errors,
                 epoch_end=epoch_end,
                 chunks=chunks,
@@ -381,14 +432,13 @@ class _GreedyStack:
             self.layer_errors.append(errors)
             loop.end_layer(i, errors[-1] if errors else float("nan"))
             if callback is not None:
-                callback(i, block, errors)
+                callback(i, plan.trained(i), errors)
             # The output dataset of this block becomes the next training set
             # (paper: "the output dataset is then used as the input training
             # set of the second Autoencoder"); the last block's has no reader.
             if i + 1 < n_layers:
-                current = self._block_transform(block, current)
-            n_in = spec.n_hidden
-        return self
+                currents = plan.transform(i, currents)
+        plan.finish()
 
     # -- the pipelined cascade (Santara et al., arXiv:1603.02836) --------
     def _pretrain_pipelined(
@@ -526,15 +576,7 @@ class _GreedyStack:
             "model": self._ckpt_model_meta(),
             "epochs_done": int(epochs_done),
             "rng_states": [capture_rng(g) for g in rngs],
-            "engines": [
-                None
-                if eng is None
-                else {
-                    "n_workers": eng.n_workers,
-                    "streams": eng.capture_rng_streams(),
-                }
-                for eng in engines
-            ],
+            "engines": [engine_state(eng) for eng in engines],
             "metrics": [[float(v) for v in m] for m in pretrainer.metrics],
             "queues": [
                 {"pushed": q.pushed, "popped": q.popped} for q in pretrainer.queues
@@ -554,19 +596,8 @@ class _GreedyStack:
     ):
         """Rebuild every stage's state from a pipelined snapshot; returns
         ``(start_epoch, buffers, metrics, event_logs)``."""
-        path = resolve_resume_path(resume_from)
-        header, arrays = load_npz(path)
-        if header.get("kind") != self._ckpt_kind or header.get("phase") != "pretrain":
-            raise CheckpointError(
-                f"{path}: not a {self._ckpt_kind} pretrain checkpoint "
-                f"(found kind={header.get('kind')!r}, phase={header.get('phase')!r})"
-            )
-        strategy = header.get("strategy") or {}
-        if strategy.get("name") != "pipelined":
-            raise CheckpointError(
-                f"{path}: checkpoint was written by the greedy strategy; "
-                f"resume with strategy='greedy'"
-            )
+        header, arrays = self._read_snapshot(resume_from, "pipelined")
+        strategy = header["strategy"]
         for key, value in (("sync", sync), ("engine_mode", engine_mode)):
             if strategy.get(key) != value:
                 raise CheckpointError(
@@ -574,26 +605,8 @@ class _GreedyStack:
                     f"but this run uses {key}={value!r}; bit-identical resume "
                     f"requires the same pipeline configuration"
                 )
-        if header.get("model") != self._ckpt_model_meta():
-            raise CheckpointError(
-                f"{path}: checkpoint hyper-parameters do not match this stack"
-            )
-        engine_metas = header["engines"]
-        for k, (meta, eng) in enumerate(zip(engine_metas, engines)):
-            if (meta is None) != (eng is None):
-                raise CheckpointError(
-                    f"stage {k}: resume must use the same execution mode as "
-                    f"the checkpointed run (engine vs serial)"
-                )
-            if eng is not None:
-                if meta["n_workers"] != eng.n_workers:
-                    raise CheckpointError(
-                        f"stage {k}: checkpoint was taken at n_workers="
-                        f"{meta['n_workers']} but the engine has "
-                        f"{eng.n_workers}; bit-identical resume requires the "
-                        f"same worker count"
-                    )
-                eng.restore_rng_streams(meta["streams"])
+        for k, (state, eng) in enumerate(zip(header["engines"], engines)):
+            restore_engine_state(state, eng, where=f"stage {k}: ")
         states = header["rng_states"]
         if len(states) != len(rngs):
             raise CheckpointError(

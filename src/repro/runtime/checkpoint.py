@@ -14,13 +14,18 @@ module provides the storage layer:
   :func:`restore_rng` / :func:`restore_rng_into`) — bit-exact resume
   requires the *random streams*, not just the parameters, to continue
   exactly where they stopped;
+* the engine state every training snapshot records — execution mode,
+  worker count, worker streams — written by :func:`engine_state` and
+  checked and restored by :func:`restore_engine_state`;
 * :func:`retry_transient` — bounded exponential backoff around
   operations that may fail transiently (a flaky chunk load surfacing as
   :class:`~repro.runtime.executor.PrefetchError`).
 
-The consumers are ``pretrain(checkpoint=…, resume_from=…)`` on
+The consumers are the four resumable drivers: greedy and pipelined
+``pretrain(checkpoint=…, resume_from=…)`` on
 :class:`~repro.nn.stacked.StackedAutoencoder` /
-:class:`~repro.nn.stacked.DeepBeliefNetwork` and
+:class:`~repro.nn.stacked.DeepBeliefNetwork`,
+:func:`repro.nn.sharded.sharded_pretrain` and
 :func:`repro.nn.finetune.finetune`; the bit-exactness guarantee they
 build on top is documented in ``docs/robustness.md`` and enforced by
 ``tests/chaos/``.
@@ -100,6 +105,43 @@ def restore_streams_into(
         )
     for gen, state in zip(gens, states):
         restore_rng_into(gen, state)
+
+
+def engine_state(engine) -> Optional[dict]:
+    """The run state a training snapshot records about its engine.
+
+    ``None`` for a serial run (no engine); otherwise the worker count and
+    every worker stream's position (``engine.capture_rng_streams``, i.e.
+    :func:`capture_streams`).  :func:`restore_engine_state` checks it back.
+    """
+    if engine is None:
+        return None
+    return {"n_workers": engine.n_workers, "streams": engine.capture_rng_streams()}
+
+
+def restore_engine_state(state: Optional[dict], engine, where: str = "") -> None:
+    """Check a snapshot's :func:`engine_state` against the live run and
+    rewind the engine's worker streams to it.
+
+    A bit-identical resume needs the same execution mode (engine or
+    serial) and the same worker count, because each worker owns a stream;
+    either mismatch raises :class:`CheckpointError`.  ``where`` prefixes
+    the message (the pipelined strategy names the stage).
+    """
+    if (state is None) != (engine is None):
+        raise CheckpointError(
+            f"{where}resume must use the same execution mode as the "
+            f"checkpointed run (parallel engine vs serial)"
+        )
+    if engine is None:
+        return
+    if state["n_workers"] != engine.n_workers:
+        raise CheckpointError(
+            f"{where}checkpoint was taken at n_workers={state['n_workers']} "
+            f"but the engine has {engine.n_workers}; bit-identical resume "
+            f"requires the same worker count"
+        )
+    engine.restore_rng_streams(state["streams"])
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +302,10 @@ class CheckpointStore:
 def require_shard_count(header: dict, n_shards: int) -> None:
     """Reject resuming a sharded snapshot under a different shard count.
 
-    Repartitioning changes every shard's parameter blocks and mask
-    streams, so a bit-identical resume is impossible across a
-    shard-count change; sharded checkpoint headers are tagged with
-    ``n_shards`` and cross-loading fails loudly here.
+    Repartitioning changes every shard's parameter blocks, so a
+    bit-identical resume is impossible across a shard-count change;
+    sharded checkpoint headers are tagged with ``n_shards`` and
+    cross-loading fails loudly here.
     """
     found = header.get("n_shards")
     if found is None:

@@ -11,11 +11,13 @@ independently; cross-shard weights only decay, and a lost shard at
 serving time is a dropout approximation rather than an error.
 
 Layering: this package sits on :mod:`repro.nn` and
-:mod:`repro.runtime`; it must not import :mod:`repro.train` or
-:mod:`repro.workloads` (enforced by ``tools/check_layering.py``).  The
-serving integration lives in :mod:`repro.cluster.shardrouter`, training
-integration in :class:`repro.train.ShardedTrainStep`, and the benchmark
-driver in :mod:`repro.bench.shardbench`.
+:mod:`repro.runtime`; it must not import :mod:`repro.train`,
+:mod:`repro.workloads` or :mod:`repro.bench` (enforced by
+``tools/check_layering.py``).  The serving integration lives in
+:mod:`repro.cluster.shardrouter`; sharded pre-training is
+:func:`repro.nn.sharded.sharded_pretrain`, the stack's own greedy
+cascade over shards stepped by :class:`repro.train.ShardedTrainStep`;
+the shard bench is :mod:`repro.bench.shardbench`.
 """
 
 from repro.shard.checkpoint import (
@@ -25,7 +27,6 @@ from repro.shard.checkpoint import (
     save_shard_checkpoint,
     shard_state_arrays,
 )
-from repro.shard.masks import mask_streams, resample_masks, structural_and_dropout
 from repro.shard.partition import Partition
 from repro.shard.servables import gather_outputs, shard_servables
 from repro.shard.shards import CrossBlock, ModelShard, merge, partition
@@ -36,9 +37,6 @@ __all__ = [
     "ModelShard",
     "partition",
     "merge",
-    "mask_streams",
-    "resample_masks",
-    "structural_and_dropout",
     "shard_servables",
     "gather_outputs",
     "SHARD_CKPT_KIND",

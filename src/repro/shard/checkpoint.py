@@ -1,17 +1,19 @@
 """Checkpoint plumbing for sharded training runs.
 
 A sharded snapshot stores, per shard, every trained block's parameters
-plus the shard's cross-block values, alongside the driver's RNG stream
-positions and the per-shard dropout-mask generator states.  The header
-is tagged with the shard count and the exact partition, and
-:func:`read_shard_checkpoint` refuses to restore under a different
-shard count (via :func:`repro.runtime.checkpoint.require_shard_count`)
-— repartitioning moves parameters between shards, so a bit-identical
+(under the stack's own ``_block_arrays`` names, prefixed ``s{k}_``) plus
+the shard's cross-block values, alongside the run state every greedy
+snapshot records: RNG stream positions, engine state, error history.
+The header is tagged with the shard count, the exact partition and the
+stack's ``_ckpt_model_meta()``.  :func:`read_shard_checkpoint` refuses
+to restore under different hyper-parameters or a different shard count
+(via :func:`repro.runtime.checkpoint.require_shard_count`) —
+repartitioning moves parameters between shards, so a bit-identical
 resume is only possible into the same layout.
 
-The driver (:func:`repro.bench.shardbench.sharded_pretrain`) recreates
-the shard *structures* deterministically from the seed before loading,
-so this module only moves parameter bytes and validates headers.
+The driver (:func:`repro.nn.sharded.sharded_pretrain`) recreates the
+shard *structures* deterministically from the seed before loading, so
+this module only moves parameter bytes and validates headers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.runtime.checkpoint import (
     resolve_resume_path,
 )
 from repro.shard.partition import Partition
-from repro.shard.shards import KIND_DBN, KIND_MLP, KIND_SAE, ModelShard
+from repro.shard.shards import KIND_MLP, ModelShard
 
 __all__ = [
     "SHARD_CKPT_KIND",
@@ -41,14 +43,15 @@ __all__ = [
 #: header ``kind`` tag of a sharded pre-training snapshot
 SHARD_CKPT_KIND = "shard-pretrain"
 
-_BLOCK_KEYS = {
-    KIND_SAE: ("w1", "b1", "w2", "b2"),
-    KIND_DBN: ("w", "b", "c"),
-}
 
-
-def _block_params(kind: str, block) -> List[Tuple[str, np.ndarray]]:
-    return [(name, getattr(block, name)) for name in _BLOCK_KEYS[kind]]
+def _block_params(shard: ModelShard) -> List[Tuple[str, np.ndarray]]:
+    """``(archive key, live array)`` for every block parameter of a stack shard."""
+    stack = shard.model
+    return [
+        (f"s{shard.index}_{key}", value)
+        for j, block in enumerate(stack.blocks)
+        for key, value in stack._block_arrays(j, block).items()
+    ]
 
 
 def shard_state_arrays(shards: Sequence[ModelShard]) -> Dict[str, np.ndarray]:
@@ -61,9 +64,7 @@ def shard_state_arrays(shards: Sequence[ModelShard]) -> Dict[str, np.ndarray]:
                 arrays[f"s{k}_w{i}"] = layer.w
                 arrays[f"s{k}_b{i}"] = layer.b
         else:
-            for j, block in enumerate(shard.model.blocks):
-                for name, value in _block_params(shard.kind, block):
-                    arrays[f"s{k}_{name}_{j}"] = value
+            arrays.update(_block_params(shard))
         for n, cb in enumerate(shard.cross):
             arrays[f"s{k}_x{n}"] = cb.values
     return arrays
@@ -85,10 +86,8 @@ def load_shard_state(shards: Sequence[ModelShard], arrays: Dict[str, np.ndarray]
                     _copy_into(layer.w, arrays[f"s{k}_w{i}"], f"s{k}_w{i}")
                     _copy_into(layer.b, arrays[f"s{k}_b{i}"], f"s{k}_b{i}")
             else:
-                for j, block in enumerate(shard.model.blocks):
-                    for name, value in _block_params(shard.kind, block):
-                        key = f"s{k}_{name}_{j}"
-                        _copy_into(value, arrays[key], key)
+                for key, value in _block_params(shard):
+                    _copy_into(value, arrays[key], key)
             for n, cb in enumerate(shard.cross):
                 _copy_into(cb.values, arrays[f"s{k}_x{n}"], f"s{k}_x{n}")
         except KeyError as exc:
@@ -114,7 +113,6 @@ def save_shard_checkpoint(
     block_index: int,
     epochs_done: int,
     rng_states: List[dict],
-    mask_states: List[dict],
     current_errors: List[float],
     layer_errors: List[List[float]],
     engine: Optional[dict] = None,
@@ -132,7 +130,6 @@ def save_shard_checkpoint(
         "block_index": int(block_index),
         "epochs_done": int(epochs_done),
         "rng_states": rng_states,
-        "mask_streams": mask_states,
         "engine": engine,
         "layer_errors": [list(e) for e in layer_errors],
         "current_errors": [float(e) for e in current_errors],

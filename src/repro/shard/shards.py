@@ -230,7 +230,7 @@ def partition_sae_block(
     sub.w1 = _asc(block.w1[np.ix_(units, prev)])
     sub.b1 = _asc(block.b1[units])
     sub.w2 = _asc(block.w2[np.ix_(prev, units)])
-    sub.b2 = _asc(block.b2[prev]) if part.is_partitioned(layer - 1) else _asc(block.b2)
+    sub.b2 = _asc(block.b2[prev])  # a fresh copy, whole when replicated
 
     cross: List[CrossBlock] = []
     if part.is_partitioned(layer - 1):
@@ -259,7 +259,7 @@ def partition_rbm_block(
     sub = RBM(len(prev), len(units))
     sub.w = _asc(block.w[np.ix_(units, prev)])
     sub.c = _asc(block.c[units])
-    sub.b = _asc(block.b[prev]) if part.is_partitioned(layer - 1) else _asc(block.b)
+    sub.b = _asc(block.b[prev])  # a fresh copy, whole when replicated
 
     cross: List[CrossBlock] = []
     if part.is_partitioned(layer - 1):
@@ -425,12 +425,12 @@ def _merge_mlp(shards: List[ModelShard]) -> DeepNetwork:
 def _partition_stack(model, n_shards: int, kind: str) -> List[ModelShard]:
     if not model.is_trained:
         raise ConfigurationError(
-            "stack has not been pre-trained yet; use repro.bench.shardbench."
+            "stack has not been pre-trained yet; use repro.nn.sharded."
             "sharded_pretrain to train shards from scratch"
         )
     sizes = model.layer_sizes
     part = Partition(sizes, n_shards, partitioned=range(1, len(sizes)))
-    meta = _stack_meta(model, kind)
+    meta = model._ckpt_model_meta()
     shards: List[ModelShard] = []
     for k in range(n_shards):
         sub = _make_sub_stack(model, part, k, kind)
@@ -445,24 +445,6 @@ def _partition_stack(model, n_shards: int, kind: str) -> List[ModelShard]:
             cross.extend(cbs)
         shards.append(ModelShard(k, part, kind, sub, cross, meta))
     return shards
-
-
-def _stack_meta(model, kind: str) -> dict:
-    meta = {
-        "n_visible": model.n_visible,
-        "layer_specs": [
-            {
-                "n_hidden": s.n_hidden,
-                "learning_rate": s.learning_rate,
-                "epochs": s.epochs,
-                "batch_size": s.batch_size,
-            }
-            for s in model.layer_specs
-        ],
-    }
-    if kind == KIND_DBN:
-        meta["cd_k"] = model.cd_k
-    return meta
 
 
 def _shard_specs(model, part: Partition, shard: int) -> List[LayerSpec]:

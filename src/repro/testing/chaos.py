@@ -423,10 +423,11 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
       synchronisation point resumes from its last epoch snapshot
       **bit-identically** versus an uninterrupted run.
     """
-    from repro.bench.shardbench import _model_params, sharded_pretrain
+    from repro.bench.shardbench import _model_params
     from repro.cluster.benchrun import drill_replica_config, replica_capacity_rps
     from repro.cluster.loadtest import ClusterLoadHarness
     from repro.cluster.shardrouter import ShardRouter
+    from repro.nn.sharded import sharded_pretrain
     from repro.serve.benchrun import train_demo_servable
     from repro.shard import partition
     from repro.testing.faults import SHARD_EXCHANGE_SITE
@@ -495,7 +496,7 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
     def fresh():
         return StackedAutoencoder(12, specs, seed=seed)
 
-    kwargs = dict(exchange_every=2, dropout=0.25, mask_seed=seed)
+    kwargs = dict(exchange_every=2)
     baseline = fresh()
     shards_base = sharded_pretrain(baseline, x, 2, **kwargs)
     with tempfile.TemporaryDirectory(prefix="repro-shard-chaos-") as tmp:

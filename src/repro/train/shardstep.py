@@ -6,8 +6,8 @@ unmodified :class:`~repro.train.loop.TrainLoop` (the inner
 parallel): every loop batch fans out to each shard's
 ``compute``/``apply``, a per-shard ``after_apply`` hook advances that
 shard's cross-block decay, and every ``exchange_every`` updates the step
-runs the bounded exchange callback (mask resample + shared-bias sync)
-behind the ``shard.exchange`` fault site — the kill point the chaos
+runs the bounded exchange callback (the replicated-bias sync) behind the
+``shard.exchange`` fault site — the kill point the chaos
 drills use to prove bit-identical resume.
 
 The composite is deliberately ignorant of what a shard *is* (it never
@@ -40,14 +40,14 @@ class ShardedTrainStep(TrainStep):
     exchange:
         Optional ``exchange(update_index)`` callback run every
         ``exchange_every`` applied updates — the bounded periodic
-        mask-resample / shared-bias sync.  Fires after the
+        replicated-bias sync.  Fires after the
         ``shard.exchange`` fault point, so an injected kill lands
         *before* any shard state changes.
     exchange_every:
         Updates between exchanges; ``0`` disables them.
     after_apply:
         Optional per-shard zero-argument hooks run right after each
-        shard's ``apply`` — :mod:`repro.bench.shardbench` passes the
+        shard's ``apply`` — :mod:`repro.nn.sharded` passes the
         cross-block decay closures here.
     """
 

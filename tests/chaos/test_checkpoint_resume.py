@@ -12,6 +12,7 @@ import pytest
 from repro.nn.cost import SparseAutoencoderCost
 from repro.nn.finetune import finetune
 from repro.nn.mlp import DeepNetwork
+from repro.nn.sharded import sharded_pretrain
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
 from repro.runtime.checkpoint import CheckpointError, CheckpointStore
 from repro.runtime.executor import ParallelGradientEngine
@@ -275,3 +276,57 @@ class TestResumeValidation:
         with pytest.raises(CheckpointError, match="kind"):
             _dbn(x.shape[1]).pretrain((x > 0.5).astype(np.float64),
                                       resume_from=tmp_path)
+
+
+def _with_engine(train):
+    """``train(engine, x, **ckpt)`` as ``run(workers, x, **ckpt)``: serial
+    when ``workers`` is None, else on a borrowed W-worker engine."""
+    def run(workers, x, **ckpt):
+        if workers is None:
+            return train(None, x, **ckpt)
+        with ParallelGradientEngine(workers, blas_threads=None, seed=0) as eng:
+            return train(eng, x, **ckpt)
+    return run
+
+
+def _pipelined(workers, x, **ckpt):
+    mode = "serial" if workers is None else "thread"
+    return _sae(x.shape[1]).pretrain(
+        x, strategy="pipelined", engine_mode=mode, n_workers=workers, **ckpt
+    )
+
+
+#: every resumable driver, as ``run(workers, x, checkpoint=/resume_from=)``
+DRIVERS = {
+    "greedy": _with_engine(
+        lambda eng, x, **ckpt: _sae(x.shape[1]).pretrain(x, engine=eng, **ckpt)
+    ),
+    "sharded": _with_engine(
+        lambda eng, x, **ckpt: sharded_pretrain(_sae(x.shape[1]), x, 2, engine=eng, **ckpt)
+    ),
+    "finetune": _with_engine(
+        lambda eng, x, **ckpt: finetune(
+            DeepNetwork([x.shape[1], 9, 10], head="softmax", seed=2),
+            x, np.arange(len(x)) % 10, epochs=2, batch_size=16, seed=7,
+            engine=eng, **ckpt,
+        )
+    ),
+    "pipelined": _pipelined,
+}
+
+
+class TestEngineStateRefusals:
+    """Every driver refuses a resume whose execution mode or worker count
+    differs from the snapshot's.  A pipelined snapshot records its
+    ``engine_mode`` and refuses a serial→engine switch on that first."""
+
+    @pytest.mark.parametrize("driver, saved, resumed, message", [
+        *[(d, None, N_WORKERS, "execution mode")
+          for d in ("greedy", "sharded", "finetune")],
+        *[(d, N_WORKERS, N_WORKERS + 1, "n_workers") for d in DRIVERS],
+    ])
+    def test_mismatch_refused(self, x, tmp_path, driver, saved, resumed, message):
+        run = DRIVERS[driver]
+        run(saved, x, checkpoint=tmp_path)
+        with pytest.raises(CheckpointError, match=message):
+            run(resumed, x, resume_from=tmp_path)

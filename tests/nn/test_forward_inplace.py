@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.bench.shardbench import sharded_pretrain
+from repro.nn.sharded import sharded_pretrain
 from repro.nn.autoencoder import SparseAutoencoder
 from repro.nn.cost import SparseAutoencoderCost
 from repro.nn.mlp import DeepNetwork

@@ -18,7 +18,7 @@ from repro.shard.checkpoint import (
     shard_state_arrays,
 )
 from repro.shard.partition import Partition
-from repro.shard.shards import _stack_meta, partition
+from repro.shard.shards import partition
 from repro.utils.rng import spawn_generators
 
 
@@ -40,7 +40,6 @@ def _save(store, shards, **overrides):
         block_index=1,
         epochs_done=1,
         rng_states=[capture_rng(g) for g in rngs],
-        mask_states=[capture_rng(g) for g in rngs[: len(shards)]],
         current_errors=[0.5],
         layer_errors=[[0.9, 0.5]],
     )
@@ -144,7 +143,7 @@ class TestHeaderValidation:
             read_shard_checkpoint(
                 store, family="sae",
                 partition=partition(trained, 2)[0].partition,
-                model_meta=_stack_meta(trained, "sae"),
+                model_meta=trained._ckpt_model_meta(),
             )
 
 

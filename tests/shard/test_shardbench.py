@@ -1,13 +1,21 @@
 """shard-bench report plumbing: schema, gates, baseline regression fence."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
 from repro.bench import gate
 from repro.bench.benches import SHARD
-from repro.bench.shardbench import SCHEMA, run_parity_rows, run_pretrain_drill
+from repro.bench.shardbench import (
+    SCHEMA,
+    run_parity_rows,
+    run_pretrain_drill,
+    run_shard_bench,
+)
 from repro.errors import ConfigurationError
+
+ARTIFACT = Path(__file__).resolve().parents[2] / "BENCH_shard.json"
 
 
 def gate_failures(report):
@@ -35,7 +43,7 @@ def _report():
             },
             {
                 "kind": "pretrain", "family": "sae", "n_shards": 2,
-                "exchange_every": 2, "dropout": 0.25, "snapshots": 4,
+                "exchange_every": 2, "snapshots": 4,
                 "exchanges_expected": 6, "resume_max_abs": 0.0,
             },
             {
@@ -150,12 +158,19 @@ class TestRoundTrip:
         gate.validate(SHARD, gate.load(path))
 
     def test_committed_artifact_is_valid_and_gated(self):
-        from pathlib import Path
-
-        artifact = Path(__file__).resolve().parents[2] / "BENCH_shard.json"
-        report = gate.load(artifact)
+        report = gate.load(ARTIFACT)
         gate.validate(SHARD, report)
         assert gate_failures(report) == []
+
+
+class TestCommittedBaseline:
+    def test_repo_baseline_is_current(self):
+        """BENCH_shard.json must equal a fresh full run exactly: parity and
+        resume rows are exact, and the drills run on the simulated clock."""
+        baseline = gate.load(ARTIFACT)
+        fresh = run_shard_bench(quick=baseline["quick"], seed=baseline["seed"])
+        assert fresh["rows"] == baseline["rows"]
+        assert fresh == baseline
 
 
 class TestLiveRows:

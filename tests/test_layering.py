@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
@@ -191,5 +193,33 @@ class TestDetection:
             tmp_path, "repro.cluster", "ok2.py",
             "from repro.shard.servables import gather_outputs\n"
             "from repro.shard.shards import ModelShard\n",
+        )
+        assert check_layering.check(root) == []
+
+    @pytest.mark.parametrize("package", [
+        "repro.nn", "repro.train", "repro.runtime", "repro.shard",
+    ])
+    def test_nothing_below_the_bench_imports_it(self, tmp_path, package):
+        """The benches measure training code; a training driver kept in
+        repro.bench, reached from below, is the edge this rule closes."""
+        root = self._pkg(
+            tmp_path, package, "bad.py",
+            "from repro.bench.shardbench import run_shard_bench\n"
+            "def f():\n    import repro.bench\n",
+        )
+        violations = check_layering.check(root)
+        assert [(v[2], v[3], v[4]) for v in violations] == [
+            (f"{package}.bad", "repro.bench.shardbench", "repro.bench"),
+            (f"{package}.bad", "repro.bench", "repro.bench"),
+        ]
+
+    def test_nn_may_import_shard_and_train(self, tmp_path):
+        """repro.nn.sharded runs the stack's cascade over shards: the
+        nn → shard edge (as in _GreedyStack.partition) and nn → train
+        are both legal."""
+        root = self._pkg(
+            tmp_path, "repro.nn", "ok.py",
+            "from repro.shard.shards import partition\n"
+            "from repro.train.shardstep import ShardedTrainStep\n",
         )
         assert check_layering.check(root) == []

@@ -16,6 +16,9 @@ fails the build when a package reaches *down* the wrong way:
 * ``repro.runtime`` must not import ``repro.nn`` — the gradient engines
   run any model through its shard protocol (``shard_gradients`` and
   friends on the model), so the per-shard maths lives with the model;
+* nothing below the bench — ``repro.nn``, ``repro.train``,
+  ``repro.runtime``, ``repro.shard`` — imports ``repro.bench``: the
+  benches measure the training code, they do not hold any of it;
 * ``repro.data`` imports nothing above the utility layer;
 * ``repro.serve`` must not import ``repro.cluster`` — the cluster tier
   composes engines, a single engine never knows it is replicated;
@@ -32,7 +35,8 @@ fails the build when a package reaches *down* the wrong way:
   import the training loop, the cluster tier, or the workloads layer
   above it — ``repro.cluster`` may import ``repro.shard`` (the
   ``ShardRouter`` composes shard servables), never the reverse, and the
-  sharded *training* driver lives in ``repro.bench.shardbench``.
+  sharded *training* driver is ``repro.nn.sharded``, which runs the
+  stack's own greedy cascade.
 
 Every import statement counts, module-level or function-level, so a
 "lazy" import cannot smuggle a forbidden edge in.
@@ -55,14 +59,17 @@ FORBIDDEN = {
         "repro.phi",
         "repro.serve",
         "repro.cluster",
+        "repro.bench",
     ),
     "repro.nn": (
         "repro.core",
         "repro.serve",
         "repro.cluster",
+        "repro.bench",
     ),
     "repro.runtime": (
         "repro.nn",
+        "repro.bench",
     ),
     "repro.data": (
         "repro.nn",
@@ -98,6 +105,7 @@ FORBIDDEN = {
         "repro.workloads",
         "repro.core",
         "repro.phi",
+        "repro.bench",
     ),
 }
 
