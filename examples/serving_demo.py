@@ -24,11 +24,11 @@ from repro.serve import (
     BatchPolicy,
     BurstArrivals,
     FeatureCache,
-    LoadTestHarness,
     ModelRegistry,
     ServingEngine,
 )
 from repro.utils.serialization import save_model
+from repro.workloads import TraceReplayer, trace_from_arrivals
 
 
 def run_cell(servable, max_batch, cache=None, seed=0):
@@ -40,23 +40,28 @@ def run_cell(servable, max_batch, cache=None, seed=0):
     # 500 rps background traffic with 8000 rps bursts: a flash crowd
     # opens each 100 ms window for 20 ms.
     arrivals = BurstArrivals(500.0, 8000.0, period_s=0.1, burst_len_s=0.02)
-    return LoadTestHarness(engine, arrivals, duration_s=1.0, seed=seed).run()
+    replay = TraceReplayer(engine, trace_from_arrivals(arrivals, 1.0, seed=seed)).run()
+    return engine.metrics, replay
 
 
-def describe(label, report):
+def describe(label, cell):
+    # Counters and nearest-rank percentiles come from the engine's
+    # metrics; the offered count and the makespan from the replay.
+    metrics, replay = cell
+    latency = metrics.latency
     print(f"  {label}")
     print(
-        f"    served {report.served}/{report.offered} "
-        f"(rejected {report.rejected}, cache hits {report.cache_hits})"
+        f"    served {metrics.served}/{replay.offered} "
+        f"(rejected {metrics.rejected}, cache hits {metrics.cache_hits})"
     )
     print(
-        f"    throughput {report.throughput_rps:8.0f} rps   "
-        f"mean batch {report.mean_batch_size:5.1f}"
+        f"    throughput {metrics.served / replay.makespan_s:8.0f} rps   "
+        f"mean batch {metrics.mean_batch_size:5.1f}"
     )
     print(
-        f"    latency p50 {report.latency_p50_s * 1e3:6.2f} ms   "
-        f"p95 {report.latency_p95_s * 1e3:6.2f} ms   "
-        f"p99 {report.latency_p99_s * 1e3:6.2f} ms"
+        f"    latency p50 {latency.percentile(50) * 1e3:6.2f} ms   "
+        f"p95 {latency.percentile(95) * 1e3:6.2f} ms   "
+        f"p99 {latency.percentile(99) * 1e3:6.2f} ms"
     )
 
 

@@ -155,8 +155,6 @@ _SERVE_EXPORTS = frozenset(
         "WorkerPool",
         "PoissonArrivals",
         "BurstArrivals",
-        "LoadTestHarness",
-        "LoadTestReport",
         "ServingMetrics",
         "ModelRegistry",
         "ServableModel",
@@ -169,8 +167,6 @@ _CLUSTER_EXPORTS = frozenset(
     {
         "Autoscaler",
         "AutoscalerConfig",
-        "ClusterLoadHarness",
-        "ClusterLoadReport",
         "ClusterMetrics",
         "ConsistentHashPolicy",
         "HedgePolicy",
@@ -340,7 +336,6 @@ __all__ = [
     "ServingEngine",
     "BatchPolicy",
     "FeatureCache",
-    "LoadTestHarness",
     "PoissonArrivals",
     "BurstArrivals",
     "run_serve_bench",
@@ -348,7 +343,6 @@ __all__ = [
     "Router",
     "ReplicatedRegistry",
     "Autoscaler",
-    "ClusterLoadHarness",
     "HedgePolicy",
     "ConsistentHashPolicy",
     "run_cluster_bench",

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.benchrun import drill_replica_config, replica_capacity_rps
-from repro.cluster.loadtest import ClusterLoadHarness
 from repro.cluster.router import NO_HEDGING, LeastLoadedPolicy, Router
 from repro.cluster.shardrouter import ShardRouter
 from repro.nn.autoencoder import SparseAutoencoder
@@ -42,6 +41,8 @@ from repro.shard.shards import merge, partition, partition_rbm_block, partition_
 from repro.testing.faults import FaultPlan, inject
 from repro.train.batches import batch_bounds
 from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.replay import TraceReplayer
+from repro.workloads.trace import trace_from_arrivals
 
 SCHEMA = "shard-bench/v1"
 
@@ -386,6 +387,7 @@ def run_serving_drill(
     ``1.25 ×`` the whole-model single replica.
     """
     rate = utilization * replica_capacity_rps(servable)
+    trace = trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed)
     single = Router(
         servable,
         n_replicas=1,
@@ -393,30 +395,25 @@ def run_serving_drill(
         policy=LeastLoadedPolicy(),
         hedge=NO_HEDGING,
     )
-    base = ClusterLoadHarness(
-        single, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-    ).run()
+    TraceReplayer(single, trace).run()
+    p99_single = single.metrics.latency.percentile(99)
     shards = partition(servable.model, n_shards)
     router = ShardRouter(shards, replica_config=drill_replica_config())
-    report = ClusterLoadHarness(
-        router, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-    ).run()
+    replay = TraceReplayer(router, trace).run()
+    metrics = router.metrics
+    p99 = metrics.latency.percentile(99)
     return {
         "kind": "serving",
         "n_shards": int(n_shards),
-        "offered": report.offered,
-        "completed": report.completed,
-        "failed": report.failed,
-        "shed": report.shed,
+        "offered": replay.offered,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "shed": metrics.shed,
         "degraded": router.degraded_requests,
-        "throughput_rps": report.throughput_rps,
-        "p99_single_ms": base.latency_p99_s * 1e3,
-        "p99_sharded_ms": report.latency_p99_s * 1e3,
-        "p99_ratio": (
-            report.latency_p99_s / base.latency_p99_s
-            if base.latency_p99_s > 0
-            else 1.0
-        ),
+        "throughput_rps": metrics.completed / replay.makespan_s,
+        "p99_single_ms": p99_single * 1e3,
+        "p99_sharded_ms": p99 * 1e3,
+        "p99_ratio": p99 / p99_single if p99_single > 0 else 1.0,
     }
 
 
@@ -437,20 +434,19 @@ def run_shard_kill_drill(
         "replica.serve", nth=kill_after_batches, match={"replica": victim_rid}
     )
     rate = utilization * replica_capacity_rps(servable)
-    harness = ClusterLoadHarness(
-        router, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-    )
+    trace = trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed)
     with inject(plan):
-        report = harness.run()
+        replay = TraceReplayer(router, trace).run()
+    metrics = router.metrics
     return {
         "kind": "shard_kill",
         "n_shards": int(n_shards),
         "victim_shard": int(victim_shard),
-        "offered": report.offered,
-        "completed": report.completed,
-        "failed": report.failed,
-        "shed": report.shed,
-        "deaths": report.replica_deaths,
+        "offered": replay.offered,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "shed": metrics.shed,
+        "deaths": metrics.replica_deaths,
         "degraded_requests": router.degraded_requests,
         "degraded_legs": router.degraded_legs,
     }

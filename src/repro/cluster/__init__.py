@@ -18,18 +18,20 @@ chaos drills, swap drills) is deterministic and seedable.
 
 Quick tour::
 
-    from repro.cluster import ClusterLoadHarness, ConsistentHashPolicy, Router
+    from repro.cluster import ConsistentHashPolicy, Router
     from repro.serve import ModelRegistry, PoissonArrivals
+    from repro.workloads import TraceReplayer, trace_from_arrivals
 
     servable = ModelRegistry().load("encoder", "encoder.npz")
     router = Router(servable, n_replicas=4, policy=ConsistentHashPolicy())
-    report = ClusterLoadHarness(router, PoissonArrivals(20_000.0), seed=0).run()
-    print(report.throughput_rps, report.latency_p99_s)
+    trace = trace_from_arrivals(PoissonArrivals(20_000.0), 1.0, seed=0)
+    replay = TraceReplayer(router, trace).run()
+    print(router.metrics.completed / replay.makespan_s,
+          router.metrics.latency.percentile(99))
 """
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.benchrun import run_cluster_bench
-from repro.cluster.loadtest import ClusterLoadHarness, ClusterLoadReport
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.registry import ReplicatedRegistry, SwapTicket
 from repro.cluster.replica import Replica, ReplicaConfig
@@ -47,8 +49,6 @@ from repro.cluster.shardrouter import ShardedRequest, ShardRouter, place_shards
 __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
-    "ClusterLoadHarness",
-    "ClusterLoadReport",
     "ClusterMetrics",
     "ClusterRequest",
     "ConsistentHashPolicy",

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
-from repro.cluster.loadtest import ClusterLoadHarness, ClusterLoadReport
 from repro.cluster.registry import ReplicatedRegistry
 from repro.cluster.replica import ReplicaConfig
 from repro.cluster.router import (
@@ -43,9 +42,11 @@ from repro.cluster.router import (
 from repro.errors import ConfigurationError
 from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import SimulatedServiceModel
-from repro.workloads.arrivals import PoissonArrivals
 from repro.serve.registry import ServableModel
 from repro.testing.faults import FaultPlan, inject
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.replay import TraceReplayer
+from repro.workloads.trace import trace_from_arrivals
 
 SCHEMA = "cluster-bench/v1"
 
@@ -93,8 +94,8 @@ def run_saturation_sweep(
     if not replica_counts or min(replica_counts) < 1:
         raise ConfigurationError(f"replica_counts must be >= 1, got {replica_counts}")
     rate = oversubscribe * max(replica_counts) * replica_capacity_rps(servable)
+    trace = trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed)
     rows: List[Dict[str, object]] = []
-    baseline: Optional[ClusterLoadReport] = None
     for n in replica_counts:
         router = Router(
             servable,
@@ -103,28 +104,25 @@ def run_saturation_sweep(
             policy=LeastLoadedPolicy(),
             hedge=NO_HEDGING,
         )
-        report = ClusterLoadHarness(
-            router, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-        ).run()
-        if baseline is None:
-            baseline = report
+        replay = TraceReplayer(router, trace).run()
+        metrics = router.metrics
+        throughput = metrics.completed / replay.makespan_s
+        p99 = metrics.latency.percentile(99)
+        if not rows:
+            base_throughput, base_p99 = throughput, p99
         rows.append(
             {
                 "kind": "saturation",
                 "n_replicas": int(n),
                 "rate_rps": rate,
-                "offered": report.offered,
-                "completed": report.completed,
-                "shed": report.shed,
-                "failed": report.failed,
-                "throughput_rps": report.throughput_rps,
-                "p99_ms": report.latency_p99_s * 1e3,
-                "speedup_vs_1": report.throughput_rps / baseline.throughput_rps,
-                "p99_ratio_vs_1": (
-                    report.latency_p99_s / baseline.latency_p99_s
-                    if baseline.latency_p99_s > 0
-                    else 1.0
-                ),
+                "offered": replay.offered,
+                "completed": metrics.completed,
+                "shed": metrics.shed,
+                "failed": metrics.failed,
+                "throughput_rps": throughput,
+                "p99_ms": p99 * 1e3,
+                "speedup_vs_1": throughput / base_throughput,
+                "p99_ratio_vs_1": p99 / base_p99 if base_p99 > 0 else 1.0,
             }
         )
     return rows
@@ -162,7 +160,9 @@ def run_hedge_drill(
         warmup=50,
     )
 
-    def run(hedge_policy) -> ClusterLoadReport:
+    trace = trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed)
+
+    def run(hedge_policy):
         plan = FaultPlan.corrupt(
             "replica.serve",
             transform=lambda seconds, ctx: seconds * slow_factor,
@@ -176,26 +176,23 @@ def run_hedge_drill(
             policy=RoundRobinPolicy(),
             hedge=hedge_policy,
         )
-        harness = ClusterLoadHarness(
-            router, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-        )
         with inject(plan):
-            return harness.run()
+            TraceReplayer(router, trace).run()
+        return router.metrics
 
-    off = run(NO_HEDGING)
+    off_p99 = run(NO_HEDGING).latency.percentile(99)
     on = run(hedge)
+    on_p99 = on.latency.percentile(99)
     return {
         "kind": "hedge",
         "n_replicas": int(n_replicas),
         "slow_factor": float(slow_factor),
-        "offered": on.offered,
+        "offered": trace.n_requests,
         "completed": on.completed,
         "failed": on.failed,
-        "p99_off_ms": off.latency_p99_s * 1e3,
-        "p99_on_ms": on.latency_p99_s * 1e3,
-        "p99_gain": (
-            off.latency_p99_s / on.latency_p99_s if on.latency_p99_s > 0 else 1.0
-        ),
+        "p99_off_ms": off_p99 * 1e3,
+        "p99_on_ms": on_p99 * 1e3,
+        "p99_gain": off_p99 / on_p99 if on_p99 > 0 else 1.0,
         "hedges_launched": on.hedges_launched,
         "hedges_won": on.hedges_won,
     }
@@ -227,23 +224,22 @@ def run_swap_drill(
     def promote(now: float):
         tickets.append(registry.promote("drill", v2, now=now))
 
-    report = ClusterLoadHarness(
+    replay = TraceReplayer(
         router,
-        PoissonArrivals(rate),
-        duration_s=duration_s,
-        seed=seed,
+        trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed),
         actions=[(duration_s / 2.0, promote)],
     ).run()
     finalized = bool(tickets) and tickets[0].finalize()
     models = {r.servable.name for r in router.replicas if r.alive}
+    metrics = router.metrics
     return {
         "kind": "swap",
         "n_replicas": int(n_replicas),
-        "offered": report.offered,
-        "completed": report.completed,
-        "failed": report.failed,
-        "shed": report.shed,
-        "swaps": report.swaps,
+        "offered": replay.offered,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "shed": metrics.shed,
+        "swaps": metrics.swaps,
         "drained": router.swap_complete,
         "old_version_retired": finalized,
         "post_swap_model": ",".join(sorted(models)),
@@ -277,22 +273,21 @@ def run_kill_drill(
         hedge=NO_HEDGING,
     )
     rate = utilization * n_replicas * replica_capacity_rps(servable)
-    harness = ClusterLoadHarness(
-        router, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-    )
+    trace = trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed)
     with inject(plan):
-        report = harness.run()
+        replay = TraceReplayer(router, trace).run()
+    metrics = router.metrics
     return {
         "kind": "kill",
         "n_replicas": int(n_replicas),
         "victim": int(victim),
-        "offered": report.offered,
-        "completed": report.completed,
-        "failed": report.failed,
-        "shed": report.shed,
-        "deaths": report.replica_deaths,
-        "rerouted": report.rerouted,
-        "replicas_final": report.replicas_final,
+        "offered": replay.offered,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "shed": metrics.shed,
+        "deaths": metrics.replica_deaths,
+        "rerouted": metrics.rerouted,
+        "replicas_final": router.n_live,
     }
 
 
@@ -322,22 +317,27 @@ def run_autoscale_drill(
             cooldown_s=duration_s / 10.0,
         ),
     )
-    report = ClusterLoadHarness(
+    # Evaluate through the arrival window and one drain's worth past it.
+    tick_s = duration_s / 20.0
+    ticks = []
+    t = 0.0
+    while t < duration_s * 2.0:
+        ticks.append((t, autoscaler.evaluate))
+        t += tick_s
+    replay = TraceReplayer(
         router,
-        PoissonArrivals(3.0 * capacity),
-        duration_s=duration_s,
-        seed=seed,
-        autoscaler=autoscaler,
-        autoscaler_tick_s=duration_s / 20.0,
+        trace_from_arrivals(PoissonArrivals(3.0 * capacity), duration_s, seed=seed),
+        actions=ticks,
     ).run()
+    metrics = router.metrics
     return {
         "kind": "autoscale",
-        "offered": report.offered,
-        "completed": report.completed,
-        "failed": report.failed,
-        "scale_ups": report.scale_ups,
-        "scale_downs": report.scale_downs,
-        "replicas_final": report.replicas_final,
+        "offered": replay.offered,
+        "completed": metrics.completed,
+        "failed": metrics.failed,
+        "scale_ups": metrics.scale_ups,
+        "scale_downs": metrics.scale_downs,
+        "replicas_final": router.n_live,
         "peak_replicas": max(
             (h["n_replicas"] for h in autoscaler.history), default=router.n_live
         ),

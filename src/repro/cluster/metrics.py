@@ -43,53 +43,11 @@ class ClusterMetrics:
         self.latency = LatencyHistogram()
 
     # ------------------------------------------------------------------
-    def on_received(self) -> None:
-        self.received += 1
-
     def on_completed(self, latency_s: float, cache_hit: bool = False) -> None:
         self.completed += 1
         if cache_hit:
             self.cache_hits += 1
         self.latency.record(latency_s)
-
-    def on_failed(self) -> None:
-        self.failed += 1
-
-    def on_shed(self) -> None:
-        self.shed += 1
-
-    def on_rerouted(self) -> None:
-        self.rerouted += 1
-
-    def on_hedge_launched(self) -> None:
-        self.hedges_launched += 1
-
-    def on_hedge_won(self) -> None:
-        self.hedges_won += 1
-
-    def on_hedge_cancelled(self) -> None:
-        self.hedges_cancelled += 1
-
-    def on_hedge_wasted(self) -> None:
-        self.hedges_wasted += 1
-
-    def on_dispatch_fault(self) -> None:
-        self.dispatch_faults += 1
-
-    def on_backpressure(self) -> None:
-        self.backpressure_events += 1
-
-    def on_replica_death(self) -> None:
-        self.replica_deaths += 1
-
-    def on_swap(self) -> None:
-        self.swaps += 1
-
-    def on_scale_up(self) -> None:
-        self.scale_ups += 1
-
-    def on_scale_down(self) -> None:
-        self.scale_downs += 1
 
     # ------------------------------------------------------------------
     def rows(self) -> List[Dict[str, object]]:

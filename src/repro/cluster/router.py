@@ -26,7 +26,7 @@ owns every cross-replica decision:
 
 The router is clock-agnostic like the engine beneath it: callers pass
 ``now`` to :meth:`submit` / :meth:`poll`, and :meth:`next_event_time`
-feeds the discrete-event harness, so a seed fully determines every
+feeds the trace replayer, so a seed fully determines every
 routing decision, hedge, and latency number.
 """
 
@@ -243,7 +243,6 @@ class Router:
         replica_config: Optional[ReplicaConfig] = None,
         policy=None,
         hedge: Optional[HedgePolicy] = None,
-        metrics: Optional[ClusterMetrics] = None,
     ):
         if not isinstance(servable, ServableModel):
             raise ServingError(
@@ -255,7 +254,7 @@ class Router:
         self.replica_config = replica_config if replica_config is not None else ReplicaConfig()
         self.policy = policy if policy is not None else RoundRobinPolicy()
         self.hedge = hedge if hedge is not None else HedgePolicy()
-        self.metrics = metrics if metrics is not None else ClusterMetrics()
+        self.metrics = ClusterMetrics()
         self._servable = servable
         self._replicas: List[Replica] = []
         self._retired: List[Replica] = []
@@ -311,7 +310,7 @@ class Router:
                 f"payload must be a 1-D vector of {self._servable.n_inputs} "
                 f"features, got shape {payload.shape}"
             )
-        self.metrics.on_received()
+        self.metrics.received += 1
         creq = ClusterRequest(
             id=next(self._ids),
             key=_stable_hash(self._key_prefix + payload.tobytes()),
@@ -321,7 +320,7 @@ class Router:
         leg = self._dispatch(creq, now, hedge=False)
         if leg is None:
             creq.failed = True
-            self.metrics.on_shed()
+            self.metrics.shed += 1
             return None
         if creq.complete_s is not None:  # per-replica cache hit, answered inline
             return creq
@@ -339,7 +338,7 @@ class Router:
                 if creq is None:
                     continue  # a cancelled leg's stale completion
                 if creq.complete_s is not None:
-                    self.metrics.on_hedge_wasted()  # loser was already in flight
+                    self.metrics.hedges_wasted += 1  # loser was already in flight
                     continue
                 leg = next(
                     leg for leg in creq.legs
@@ -400,12 +399,12 @@ class Router:
         for replica in self._replicas:
             if replica.alive and not replica.retiring:
                 replica.swap(servable, now)
-        self.metrics.on_swap()
+        self.metrics.swaps += 1
 
     def add_replica(self) -> Replica:
         """Scale up: grow the fleet by one replica of the current version."""
         replica = self._spawn_replica()
-        self.metrics.on_scale_up()
+        self.metrics.scale_ups += 1
         return replica
 
     def remove_replica(self, now: float) -> Optional[int]:
@@ -421,7 +420,7 @@ class Router:
             return None
         victim = max(candidates, key=lambda r: r.id)
         victim.retiring = True
-        self.metrics.on_scale_down()
+        self.metrics.scale_downs += 1
         return victim.id
 
     # -- internals -------------------------------------------------------
@@ -445,12 +444,12 @@ class Router:
             try:
                 fault_point(ROUTER_DISPATCH_SITE, replica=replica.id, request=creq.id)
             except FaultError:
-                self.metrics.on_dispatch_fault()
+                self.metrics.dispatch_faults += 1
                 candidates.remove(replica)
                 continue
             request = replica.submit(creq.payload, now)
             if request is None:  # admission control said no: spill over
-                self.metrics.on_backpressure()
+                self.metrics.backpressure_events += 1
                 candidates.remove(replica)
                 continue
             leg = Leg(replica.id, request, hedge=hedge)
@@ -468,7 +467,7 @@ class Router:
         creq.served_by = winner.replica_id
         self._pending.pop(creq.id, None)
         if winner.hedge:
-            self.metrics.on_hedge_won()
+            self.metrics.hedges_won += 1
         self.metrics.on_completed(creq.latency_s, cache_hit=winner.request.cache_hit)
         for leg in creq.legs:
             if leg is winner:
@@ -481,14 +480,14 @@ class Router:
             ):
                 # Withdrawn before dispatch: the loser never runs.
                 self._leg_index.pop((leg.replica_id, id(leg.request)), None)
-                self.metrics.on_hedge_cancelled()
+                self.metrics.hedges_cancelled += 1
             # else: already riding a batch; its completion is counted
             # as hedges_wasted when it surfaces in poll().
 
     def _fail_over(self, replica: Replica, now: float) -> None:
         """Re-dispatch every outstanding leg of a dead replica."""
         replica.failed_over = True
-        self.metrics.on_replica_death()
+        self.metrics.replica_deaths += 1
         doomed = [
             (key, creq)
             for key, creq in self._leg_index.items()
@@ -505,14 +504,14 @@ class Router:
             ):
                 continue  # another live leg is still racing
             if self._dispatch(creq, now, hedge=False) is not None:
-                self.metrics.on_rerouted()
+                self.metrics.rerouted += 1
                 if self.hedge.enabled and creq.complete_s is None:
                     creq.hedged = False  # the rerouted leg earns its own budget
                     creq.hedge_at = now + self.hedge_deadline_s()
             else:
                 creq.failed = True
                 self._pending.pop(creq.id, None)
-                self.metrics.on_failed()
+                self.metrics.failed += 1
 
     def _launch_hedges(self, now: float) -> None:
         if self.n_live < 2:
@@ -522,7 +521,7 @@ class Router:
                 continue
             creq.hedged = True  # one shot, whether or not a replica accepts
             if self._dispatch(creq, now, hedge=True) is not None:
-                self.metrics.on_hedge_launched()
+                self.metrics.hedges_launched += 1
 
     def _reap(self, now: float) -> None:
         for replica in list(self._replicas):

@@ -23,8 +23,12 @@ Only when *every* leg is lost — or the final gather itself faults
 
 The router is clock-agnostic and exposes the same
 ``submit``/``poll``/``next_event_time`` surface as :class:`Router`, so
-:class:`~repro.cluster.loadtest.ClusterLoadHarness` and
-:class:`~repro.workloads.TraceReplayer` drive it unchanged.
+:class:`~repro.workloads.TraceReplayer` drives it unchanged::
+
+    router = ShardRouter(shards)
+    trace = trace_from_arrivals(PoissonArrivals(2000.0), 0.1, seed=0)
+    replay = TraceReplayer(router, trace).run()
+    router.metrics.completed / replay.makespan_s, router.degraded_requests
 """
 
 from __future__ import annotations
@@ -131,7 +135,6 @@ class ShardRouter:
         shards: Sequence[ModelShard],
         replica_config: Optional[ReplicaConfig] = None,
         n_vnodes: int = 64,
-        metrics: Optional[ClusterMetrics] = None,
         name: str = "sharded",
     ):
         shards = sorted(shards, key=lambda s: s.index)
@@ -147,7 +150,7 @@ class ShardRouter:
         self.replica_config = (
             replica_config if replica_config is not None else ReplicaConfig()
         )
-        self.metrics = metrics if metrics is not None else ClusterMetrics()
+        self.metrics = ClusterMetrics()
         self._servables: List[ServableModel] = shard_servables(self.shards, name=name)
         self.placement = place_shards(n, range(n), n_vnodes=n_vnodes)
         self._replicas: Dict[int, Replica] = {}
@@ -197,7 +200,7 @@ class ShardRouter:
                 f"payload must be a 1-D vector of {self.servable.n_inputs} "
                 f"features, got shape {payload.shape}"
             )
-        self.metrics.on_received()
+        self.metrics.received += 1
         sreq = ShardedRequest(id=next(self._ids), payload=payload, arrival_s=now)
         for k in range(self.n_shards):
             replica = self.replica_of(k)
@@ -211,7 +214,7 @@ class ShardRouter:
                 continue
             request = replica.submit(payload, now)
             if request is None:  # admission control: this leg is shed
-                self.metrics.on_backpressure()
+                self.metrics.backpressure_events += 1
                 self._lose_leg(sreq, k)
                 continue
             sreq.legs[k] = request
@@ -221,7 +224,7 @@ class ShardRouter:
                 self._leg_index[(replica.id, id(request))] = (sreq, k)
         if not any(leg is not None for leg in sreq.legs.values()):
             sreq.failed = True
-            self.metrics.on_shed()
+            self.metrics.shed += 1
             return None
         if self._resolved(sreq):
             self._gather(sreq, now)
@@ -267,7 +270,7 @@ class ShardRouter:
     def _fail_over(self, replica: Replica) -> None:
         """A shard replica died: its outstanding legs degrade, not fail."""
         replica.failed_over = True
-        self.metrics.on_replica_death()
+        self.metrics.replica_deaths += 1
         doomed = [key for key in self._leg_index if key[0] == replica.id]
         for key in doomed:
             sreq, k = self._leg_index.pop(key)
@@ -287,7 +290,7 @@ class ShardRouter:
             sreq.result = gather_outputs(self.shards, outputs)
         except (FaultError, ValueError):
             sreq.failed = True
-            self.metrics.on_failed()
+            self.metrics.failed += 1
             return
         sreq.complete_s = now
         if sreq.lost_shards:

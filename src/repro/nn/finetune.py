@@ -157,7 +157,7 @@ def finetune(
     :class:`~repro.runtime.checkpoint.CheckpointStore`) writes an atomic
     snapshot — network parameters, the shuffle RNG position, the engine's
     worker streams, and the loss history — after every epoch;
-    ``resume_from`` (snapshot file or checkpoint directory) restores one
+    ``resume_from`` (snapshot file, checkpoint directory or store) restores one
     and continues, bit-identical to an uninterrupted run at the same
     seed, execution mode, and worker count.  When ``seed`` is a live
     ``Generator``, resuming rewinds that generator in place.

@@ -269,8 +269,8 @@ class _GreedyStack:
         all blocks so far, the positions of every RNG stream including the
         engine's worker streams, and the error history).
 
-        ``resume_from`` — a snapshot file or checkpoint directory (its
-        newest snapshot) — restores that state and continues.  The resumed
+        ``resume_from`` — a snapshot file, or a checkpoint directory or
+        store (its newest snapshot) — restores that state and continues.  The resumed
         run is **bit-identical** to the uninterrupted one provided the
         stack hyper-parameters, seed, execution mode, and worker count
         match (all four are validated).  For a block that was checkpointed

@@ -319,15 +319,20 @@ def require_shard_count(header: dict, n_shards: int) -> None:
         )
 
 
-def resolve_resume_path(resume_from: PathLike) -> Path:
-    """Accept a checkpoint file or a directory (→ its newest snapshot)."""
-    path = Path(resume_from)
-    if path.is_dir():
-        latest = CheckpointStore(path).latest()
-        if latest is None:
-            raise CheckpointError(f"no checkpoints under {path}")
-        return latest
-    return path
+def resolve_resume_path(resume_from: Union[PathLike, CheckpointStore]) -> Path:
+    """Accept a checkpoint file, or a directory or :class:`CheckpointStore`
+    (→ its newest snapshot)."""
+    if isinstance(resume_from, CheckpointStore):
+        store = resume_from
+    else:
+        path = Path(resume_from)
+        if not path.is_dir():
+            return path
+        store = CheckpointStore(path)
+    latest = store.latest()
+    if latest is None:
+        raise CheckpointError(f"no checkpoints under {store.directory}")
+    return latest
 
 
 def as_store(checkpoint) -> Optional[CheckpointStore]:

@@ -4,22 +4,24 @@ The deployment-time layer of the reproduction: trained models go in
 (via :class:`ModelRegistry`), individual requests arrive, a dynamic
 micro-batcher coalesces them (the serving analogue of the paper's
 Fig. 5 chunked double buffer), workers run real NumPy forward passes
-timed by the simulated machine, and a deterministic load-test harness
-replays seeded Poisson/burst traffic for reproducible
-throughput-vs-latency curves.
+timed by the simulated machine.  A load run is a seeded trace replayed
+on the simulated clock (:mod:`repro.workloads`), so throughput-vs-latency
+curves are reproducible.
 
 Quick tour::
 
     from repro.serve import (
-        BatchPolicy, LoadTestHarness, ModelRegistry,
-        PoissonArrivals, ServingEngine,
+        BatchPolicy, ModelRegistry, PoissonArrivals, ServingEngine,
     )
+    from repro.workloads import TraceReplayer, trace_from_arrivals
 
     registry = ModelRegistry()
     servable = registry.load("encoder", "encoder.npz")
     engine = ServingEngine(servable, policy=BatchPolicy(max_batch_size=32))
-    report = LoadTestHarness(engine, PoissonArrivals(2000.0), seed=0).run()
-    print(report.throughput_rps, report.latency_p99_s)
+    trace = trace_from_arrivals(PoissonArrivals(2000.0), 1.0, seed=0)
+    replay = TraceReplayer(engine, trace).run()
+    print(engine.metrics.served / replay.makespan_s,
+          engine.metrics.latency.percentile(99))
 """
 
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Request
@@ -31,14 +33,9 @@ from repro.serve.engine import (
     SimulatedServiceModel,
     WorkerPool,
 )
-from repro.serve.loadtest import (
-    BurstArrivals,
-    LoadTestHarness,
-    LoadTestReport,
-    PoissonArrivals,
-)
 from repro.serve.metrics import LatencyHistogram, ServingMetrics
 from repro.serve.registry import ModelRegistry, ServableModel
+from repro.workloads.arrivals import BurstArrivals, PoissonArrivals
 
 __all__ = [
     "BatchPolicy",
@@ -51,8 +48,6 @@ __all__ = [
     "WorkerPool",
     "PoissonArrivals",
     "BurstArrivals",
-    "LoadTestHarness",
-    "LoadTestReport",
     "LatencyHistogram",
     "ServingMetrics",
     "ModelRegistry",

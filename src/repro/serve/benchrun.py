@@ -13,8 +13,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import ServingEngine, SimulatedServiceModel
-from repro.serve.loadtest import LoadTestHarness, PoissonArrivals
 from repro.serve.registry import ModelRegistry, ServableModel
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.replay import TraceReplayer
+from repro.workloads.trace import trace_from_arrivals
 
 #: Default sweep: batching off / moderate / aggressive, light → saturating load.
 DEFAULT_BATCH_SIZES = (1, 8, 32)
@@ -55,6 +57,8 @@ def run_serve_bench(
 
     Every cell gets a fresh engine but the same servable, service model
     calibration, and workload seed, so rows differ only in policy/rate.
+    Counters and the nearest-rank latency percentiles come from the
+    engine's metrics; ``offered`` and the makespan come from the replay.
     """
     if servable is None:
         servable = train_demo_servable(seed=seed)
@@ -65,11 +69,19 @@ def run_serve_bench(
             engine = ServingEngine(
                 servable, policy=policy, service_model=SimulatedServiceModel(servable)
             )
-            harness = LoadTestHarness(
-                engine, PoissonArrivals(rate), duration_s=duration_s, seed=seed
-            )
-            report = harness.run()
-            row: Dict[str, object] = {"max_batch": max_batch, "rate_rps": rate}
-            row.update(report.row())
-            rows.append(row)
+            trace = trace_from_arrivals(PoissonArrivals(rate), duration_s, seed=seed)
+            replay = TraceReplayer(engine, trace).run()
+            metrics = engine.metrics
+            rows.append({
+                "max_batch": max_batch,
+                "rate_rps": rate,
+                "offered": replay.offered,
+                "served": metrics.served,
+                "rejected": metrics.rejected,
+                "throughput_rps": metrics.served / replay.makespan_s,
+                "mean_batch": metrics.mean_batch_size,
+                "p50_ms": metrics.latency.percentile(50) * 1e3,
+                "p95_ms": metrics.latency.percentile(95) * 1e3,
+                "p99_ms": metrics.latency.percentile(99) * 1e3,
+            })
     return rows

@@ -160,7 +160,6 @@ class ServingEngine:
         service_model=None,
         n_workers: int = 1,
         cache: Optional[FeatureCache] = None,
-        metrics: Optional[ServingMetrics] = None,
     ):
         if not isinstance(servable, ServableModel):
             raise ServingError(
@@ -175,7 +174,7 @@ class ServingEngine:
         )
         self.workers = WorkerPool(n_workers)
         self.cache = cache
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = ServingMetrics()
         self._key_prefix = key_prefix((servable.n_inputs,), np.float64)
         self._inflight: List[_InFlightBatch] = []
         self._ids = itertools.count()
@@ -193,7 +192,7 @@ class ServingEngine:
                 f"payload must be a 1-D vector of {self.servable.n_inputs} "
                 f"features, got shape {payload.shape}"
             )
-        self.metrics.on_received()
+        self.metrics.received += 1
         request = Request(id=next(self._ids), payload=payload, arrival_s=now)
         if self.cache is not None:
             hit = self.cache.lookup(self._key_prefix + payload.tobytes())
@@ -201,12 +200,12 @@ class ServingEngine:
                 request.result = hit
                 request.dispatch_s = request.complete_s = now
                 request.cache_hit = True
-                self.metrics.on_cache_hit()
+                self.metrics.cache_hits += 1
                 self.metrics.on_served(0.0, 0.0, 0.0)
                 return request
-            self.metrics.on_cache_miss()
+            self.metrics.cache_misses += 1
         if not self.batcher.offer(request):
-            self.metrics.on_rejected()
+            self.metrics.rejected += 1
             return None
         self.metrics.on_queue_depth(self.batcher.queue_depth)
         return request
@@ -220,7 +219,7 @@ class ServingEngine:
         """
         if not self.batcher.remove(request):
             return False
-        self.metrics.on_cancelled()
+        self.metrics.cancelled += 1
         return True
 
     def poll(self, now: float) -> List[Request]:
@@ -238,7 +237,7 @@ class ServingEngine:
         """Earliest future time at which :meth:`poll` has work to do.
 
         None means the engine is fully idle (no queue, nothing in
-        flight) — the load-test harness uses this to schedule wakeups.
+        flight) — the trace replayer uses this to schedule wakeups.
         """
         candidates = [b.done_s for b in self._inflight]
         if self.batcher.queue_depth > 0:

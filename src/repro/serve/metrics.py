@@ -161,21 +161,6 @@ class ServingMetrics:
         self.latency = LatencyHistogram()
 
     # ------------------------------------------------------------------
-    def on_received(self) -> None:
-        self.received += 1
-
-    def on_rejected(self) -> None:
-        self.rejected += 1
-
-    def on_cancelled(self) -> None:
-        self.cancelled += 1
-
-    def on_cache_hit(self) -> None:
-        self.cache_hits += 1
-
-    def on_cache_miss(self) -> None:
-        self.cache_misses += 1
-
     def on_evictions(self, total: int) -> None:
         """Record the cache's cumulative eviction count (a gauge)."""
         if total < self.cache_evictions:

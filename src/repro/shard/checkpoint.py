@@ -153,10 +153,7 @@ def read_shard_checkpoint(
     Raises :class:`CheckpointError` when the snapshot's kind, family,
     shard count, partition or model hyper-parameters disagree.
     """
-    if isinstance(source, CheckpointStore):
-        header, arrays = source.load_latest()
-    else:
-        header, arrays = load_npz(resolve_resume_path(source))
+    header, arrays = load_npz(resolve_resume_path(source))
     if header.get("kind") != SHARD_CKPT_KIND:
         raise CheckpointError(
             f"checkpoint kind {header.get('kind')!r} is not a sharded "

@@ -425,13 +425,14 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
     """
     from repro.bench.shardbench import _model_params
     from repro.cluster.benchrun import drill_replica_config, replica_capacity_rps
-    from repro.cluster.loadtest import ClusterLoadHarness
     from repro.cluster.shardrouter import ShardRouter
     from repro.nn.sharded import sharded_pretrain
     from repro.serve.benchrun import train_demo_servable
     from repro.shard import partition
     from repro.testing.faults import SHARD_EXCHANGE_SITE
     from repro.workloads.arrivals import PoissonArrivals
+    from repro.workloads.replay import TraceReplayer
+    from repro.workloads.trace import trace_from_arrivals
 
     rows: List[dict] = []
     servable = train_demo_servable(
@@ -440,7 +441,9 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
         seed=seed,
     )
     rate = 0.5 * replica_capacity_rps(servable)
-    duration = 0.05 if quick else 0.1
+    trace = trace_from_arrivals(
+        PoissonArrivals(rate), 0.05 if quick else 0.1, seed=seed
+    )
 
     # -- scatter leg lost at shard.exchange -------------------------------
     router = ShardRouter(
@@ -449,18 +452,17 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
     plan = FaultPlan.fail(SHARD_EXCHANGE_SITE, nth=4, times=3,
                           match={"phase": "scatter"})
     with inject(plan):
-        report = ClusterLoadHarness(
-            router, PoissonArrivals(rate), duration_s=duration, seed=seed
-        ).run()
+        TraceReplayer(router, trace).run()
+    metrics = router.metrics
     ok = (
         plan.fired() >= 1
-        and report.failed == 0
+        and metrics.failed == 0
         and router.degraded_requests >= 1
     )
     rows.append(_row(
         "sharded serving: scatter legs lost, requests degrade",
         SHARD_EXCHANGE_SITE, plan.fired(), ok,
-        f"{report.completed}/{report.offered} served, failed={report.failed}, "
+        f"{metrics.completed}/{trace.n_requests} served, failed={metrics.failed}, "
         f"degraded={router.degraded_requests}",
     ))
 
@@ -471,20 +473,19 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
     victim = router.placement[1]
     plan = FaultPlan.fail("replica.serve", nth=3, match={"replica": victim})
     with inject(plan):
-        report = ClusterLoadHarness(
-            router, PoissonArrivals(rate), duration_s=duration, seed=seed
-        ).run()
+        TraceReplayer(router, trace).run()
+    metrics = router.metrics
     ok = (
         plan.fired() >= 1
-        and report.failed == 0
-        and report.replica_deaths == 1
+        and metrics.failed == 0
+        and metrics.replica_deaths == 1
         and router.degraded_requests >= 1
     )
     rows.append(_row(
         "sharded serving: shard replica killed, survivors answer",
         "replica.serve", plan.fired(), ok,
-        f"{report.completed}/{report.offered} served, failed={report.failed}, "
-        f"deaths={report.replica_deaths}, degraded={router.degraded_requests}",
+        f"{metrics.completed}/{trace.n_requests} served, failed={metrics.failed}, "
+        f"deaths={metrics.replica_deaths}, degraded={router.degraded_requests}",
     ))
 
     # -- pre-training killed at the exchange point -------------------------

@@ -2,10 +2,11 @@
 
 The trace layer sits *below* serve/cluster/train in the import
 hierarchy (enforced by ``tools/check_layering.py``): traces are pure
-data, the :class:`TraceReplayer` drives targets through their
-duck-typed ``submit``/``poll`` surface, and the load harnesses in
-:mod:`repro.serve.loadtest` / :mod:`repro.cluster.loadtest` are trace
-consumers.  See ``docs/workloads.md``.
+data, and the :class:`TraceReplayer` drives targets through their
+duck-typed ``submit``/``poll`` surface.  It is the one driver of every
+serving load run: ``trace_from_arrivals`` samples an arrival process,
+the replayer runs it, and the target's ``metrics`` hold the counters.
+See ``docs/workloads.md``.
 """
 
 from repro.workloads.arrivals import BurstArrivals, PoissonArrivals

@@ -1,10 +1,10 @@
 """Seeded arrival processes: the stochastic half of a workload trace.
 
-These classes used to live in :mod:`repro.serve.loadtest`; they moved
-here when the trace format (:mod:`repro.workloads.trace`) became the
-shared currency between the serve- and cluster-tier load harnesses.
-``repro.serve.loadtest`` re-exports them, so existing imports keep
-working.
+An arrival process is sampled into a trace
+(:func:`repro.workloads.trace.trace_from_arrivals`), which
+:class:`repro.workloads.TraceReplayer` replays against an engine or a
+router.  :mod:`repro.serve` and the top-level package re-export both
+classes.
 
 Two arrival processes cover the interesting regimes:
 

@@ -115,10 +115,8 @@ class TraceReplayer:
         payloads: Optional[np.ndarray] = None,
         trainer=None,
         actions: Sequence[Tuple[float, Callable[[float], object]]] = (),
-        validate: bool = True,
     ):
-        if validate:
-            trace.validate()
+        trace.validate()
         if trace.n_train and trainer is None:
             raise ConfigurationError(
                 f"trace {trace.name!r} contains {trace.n_train} train "

@@ -214,11 +214,10 @@ def trace_from_streams(
 ) -> Trace:
     """Build a request-only trace from pre-spawned rng streams.
 
-    The load harnesses use this so their historical
-    ``spawn_generators(seed, 3)`` stream layout (arrival / payload /
-    pick) is preserved exactly: they spawn once, build the payload pool
-    from stream 1 themselves, and hand streams 0 and 2 here.  Most
-    callers want :func:`trace_from_arrivals` instead.
+    Arrival times come from ``arrival_rng`` and payload keys from
+    ``pick_rng``.  :func:`trace_from_arrivals` hands it streams 0 and 2
+    of ``spawn_generators(seed, 3)``; stream 1 is the payload pool the
+    replayer rebuilds from the same seed.
     """
     times = arrivals.arrival_times(duration_s, arrival_rng)
     picks = pick_rng.integers(0, payload_pool, size=len(times))

@@ -330,3 +330,36 @@ class TestEngineStateRefusals:
         run(saved, x, checkpoint=tmp_path)
         with pytest.raises(CheckpointError, match=message):
             run(resumed, x, resume_from=tmp_path)
+
+
+def _trained_arrays(result):
+    """Every parameter array a driver's result holds, in a fixed order."""
+    if isinstance(result, list):  # sharded: the trained shards
+        return [a for shard in result for a in _trained_arrays(shard.model)]
+    if hasattr(result, "network"):  # fine-tune
+        return result.network.parameters()
+    return [a for block in result.blocks for a in block.parameters()]
+
+
+class TestResumeFromStore:
+    """``resume_from`` takes a :class:`CheckpointStore` in every driver,
+    and resuming from one equals resuming from its directory (and the
+    uninterrupted run)."""
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_store_equals_directory(self, x, tmp_path, driver):
+        run = DRIVERS[driver]
+        store = CheckpointStore(tmp_path, keep=100)
+        full = _trained_arrays(run(None, x, checkpoint=store))
+        for path in store.list()[1:]:
+            path.unlink()  # the first snapshot, mid-run, becomes the newest
+        from_directory = _trained_arrays(run(None, x, resume_from=tmp_path))
+        from_store = _trained_arrays(run(None, x, resume_from=CheckpointStore(tmp_path)))
+        assert len(from_store) == len(from_directory) == len(full) > 0
+        for a, b, c in zip(full, from_directory, from_store):
+            assert np.array_equal(a, b) and np.array_equal(b, c)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_empty_store_refused(self, x, tmp_path, driver):
+        with pytest.raises(CheckpointError, match="no checkpoints under"):
+            DRIVERS[driver](None, x, resume_from=CheckpointStore(tmp_path))

@@ -1,131 +1,95 @@
-"""Tests for repro.cluster.loadtest — determinism, actions, accounting."""
+"""Router load runs on the replay path: determinism, actions, accounting.
 
-import numpy as np
+A load run is ``TraceReplayer(router, trace_from_arrivals(...)).run()``;
+the counters and nearest-rank percentiles are read from
+``router.metrics``, the offered count and makespan from the replay.
+"""
+
 import pytest
 
-from repro.cluster.loadtest import ClusterLoadHarness
 from repro.cluster.router import NO_HEDGING, LeastLoadedPolicy, Router
-from repro.errors import ConfigurationError, ServingError
-from repro.serve.loadtest import PoissonArrivals
+from repro.serve import PoissonArrivals
+from repro.workloads import TraceReplayer, trace_from_arrivals
 
 from tests.cluster.conftest import fast_config
 
 
-def make_harness(servable, n=2, rate=800.0, duration=0.05, seed=0, **kwargs):
-    router = Router(
+def make_router(servable, n=2):
+    return Router(
         servable,
         n_replicas=n,
         replica_config=fast_config(),
         policy=LeastLoadedPolicy(),
         hedge=NO_HEDGING,
     )
-    return ClusterLoadHarness(
-        router, PoissonArrivals(rate), duration_s=duration, seed=seed, **kwargs
-    )
+
+
+def load_run(servable, rate=800.0, duration=0.05, seed=0, actions=()):
+    """Replay seeded Poisson arrivals; returns ``(router.metrics, replay)``."""
+    router = make_router(servable)
+    trace = trace_from_arrivals(PoissonArrivals(rate), duration, seed=seed)
+    return router.metrics, TraceReplayer(router, trace, actions=actions).run()
 
 
 class TestHarness:
     def test_accounting_consistent(self, servable):
-        report = make_harness(servable).run()
-        assert report.offered == report.completed + report.shed + report.failed
-        assert report.failed == 0
-        assert report.throughput_rps > 0
-        assert report.latency_p50_s <= report.latency_p99_s
+        """The router's counters account for every offered request."""
+        metrics, replay = load_run(servable)
+        assert replay.offered == metrics.completed + metrics.shed + metrics.failed
+        assert metrics.failed == 0
+        assert metrics.completed / replay.makespan_s > 0
+        assert metrics.latency.percentile(50) <= metrics.latency.percentile(99)
 
     def test_deterministic_across_runs(self, servable):
-        a = make_harness(servable, seed=42).run()
-        b = make_harness(servable, seed=42).run()
-        assert a.latency_buckets == b.latency_buckets
-        assert (a.offered, a.completed, a.shed) == (b.offered, b.completed, b.shed)
-        assert a.makespan_s == b.makespan_s
+        a, a_replay = load_run(servable, seed=42)
+        b, b_replay = load_run(servable, seed=42)
+        assert a.latency.bucket_counts() == b.latency.bucket_counts()
+        assert (a_replay.offered, a.completed, a.shed) == (
+            b_replay.offered, b.completed, b.shed
+        )
+        assert a_replay.makespan_s == b_replay.makespan_s
 
     def test_different_seeds_differ(self, servable):
-        a = make_harness(servable, seed=1).run()
-        b = make_harness(servable, seed=2).run()
-        assert a.latency_buckets != b.latency_buckets
-
-    def test_single_use(self, servable):
-        harness = make_harness(servable)
-        harness.run()
-        with pytest.raises(ServingError, match="single-use"):
-            harness.run()
+        a, _ = load_run(servable, seed=1)
+        b, _ = load_run(servable, seed=2)
+        assert a.latency.bucket_counts() != b.latency.bucket_counts()
 
     def test_actions_fire_at_scheduled_times(self, servable):
+        """Actions given out of order still fire in time order."""
         fired = []
-        harness = make_harness(
-            servable, actions=[(0.02, fired.append), (0.01, fired.append)]
-        )
-        harness.run()
+        load_run(servable, actions=[(0.02, fired.append), (0.01, fired.append)])
         assert fired == [pytest.approx(0.01), pytest.approx(0.02)]
-
-    def test_explicit_payloads_validated(self, servable):
-        with pytest.raises(ConfigurationError, match="payloads"):
-            make_harness(servable, payloads=np.zeros((4, 7))).run()
-
-    def test_bad_parameters(self, servable):
-        with pytest.raises(ConfigurationError):
-            make_harness(servable, duration=0.0)
-        with pytest.raises(ConfigurationError):
-            make_harness(servable, payload_pool=0)
-        with pytest.raises(ConfigurationError):
-            make_harness(servable, autoscaler_tick_s=0.0)
-
-    def test_report_row_shape(self, servable):
-        row = make_harness(servable).run().row()
-        assert set(row) == {
-            "offered", "completed", "shed", "failed",
-            "throughput_rps", "p50_ms", "p99_ms", "replicas",
-        }
 
 
 class TestTraceMode:
-    def make_trace_harness(self, servable, trace, **kwargs):
-        router = Router(
-            servable,
-            n_replicas=2,
-            replica_config=fast_config(),
-            policy=LeastLoadedPolicy(),
-            hedge=NO_HEDGING,
-        )
-        return ClusterLoadHarness(router, trace=trace, **kwargs)
-
-    def test_arrivals_and_trace_mutually_exclusive(self, servable):
-        from repro.workloads import trace_from_arrivals
-
-        trace = trace_from_arrivals(PoissonArrivals(200.0), 0.05, seed=0)
-        router = Router(servable, n_replicas=1, replica_config=fast_config())
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            ClusterLoadHarness(router, PoissonArrivals(200.0), trace=trace)
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            ClusterLoadHarness(router)
-
     def test_empty_trace_replays_cleanly(self, servable):
         """A trace with zero events is a valid (degenerate) workload."""
         from repro.workloads import Trace
 
         empty = Trace(name="idle", seed=0, duration_s=0.05, payload_pool=4,
                       events=())
-        report = self.make_trace_harness(servable, empty).run()
-        assert report.offered == 0
-        assert report.completed == 0
-        assert report.shed == 0
-        assert report.throughput_rps == 0.0
-        assert report.latency_p99_s == 0.0
-        assert report.makespan_s == pytest.approx(0.05)
-        assert report.goodput_fraction == 0.0
+        router = make_router(servable)
+        replay = TraceReplayer(router, empty).run()
+        assert replay.offered == 0
+        assert router.metrics.completed == 0
+        assert router.metrics.shed == 0
+        assert router.metrics.latency.percentile(99) == 0.0
+        assert replay.makespan_s == pytest.approx(0.05)
 
     def test_trace_replay_matches_arrivals_mode(self, servable):
+        """A trace built from hand-spawned streams, replayed with the pool
+        drawn from stream 1, equals the seeded recipe."""
         from repro.utils.rng import spawn_generators
         from repro.workloads.trace import trace_from_streams
 
-        inline = make_harness(servable, seed=5).run()
+        inline, inline_replay = load_run(servable, seed=5)
         arrival_rng, payload_rng, pick_rng = spawn_generators(5, 3)
         pool = payload_rng.random((64, 25))
         trace = trace_from_streams(
-            PoissonArrivals(800.0), 0.05, arrival_rng, pick_rng, 64,
-            seed=5, name="cluster-loadtest",
+            PoissonArrivals(800.0), 0.05, arrival_rng, pick_rng, 64, seed=5,
         )
-        replayed = self.make_trace_harness(servable, trace, payloads=pool).run()
-        assert replayed.latency_buckets == inline.latency_buckets
-        assert replayed.completed == inline.completed
-        assert replayed.makespan_s == inline.makespan_s
+        router = make_router(servable)
+        replay = TraceReplayer(router, trace, payloads=pool).run()
+        assert router.metrics.latency.bucket_counts() == inline.latency.bucket_counts()
+        assert router.metrics.completed == inline.completed
+        assert replay.makespan_s == inline_replay.makespan_s

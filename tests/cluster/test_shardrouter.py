@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.benchrun import drill_replica_config
-from repro.cluster.loadtest import ClusterLoadHarness
 from repro.cluster.replica import ReplicaConfig
 from repro.cluster.shardrouter import ShardRouter, place_shards
 from repro.errors import ConfigurationError, ServingError
@@ -15,6 +14,8 @@ from repro.shard.servables import gather_outputs
 from repro.shard.shards import partition
 from repro.testing.faults import FaultPlan, inject
 from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.replay import TraceReplayer
+from repro.workloads.trace import trace_from_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +101,13 @@ class TestDegradedMode:
     def test_replica_death_degrades_not_fails(self, stack):
         router = _router(stack, 2)
         victim = router.placement[1]
-        rate = 2000.0
+        trace = trace_from_arrivals(PoissonArrivals(2000.0), 0.05, seed=0)
         plan = FaultPlan.fail("replica.serve", nth=2, match={"replica": victim})
         with inject(plan):
-            report = ClusterLoadHarness(
-                router, PoissonArrivals(rate), duration_s=0.05, seed=0
-            ).run()
+            TraceReplayer(router, trace).run()
         assert plan.fired() == 1
-        assert report.replica_deaths == 1
-        assert report.failed == 0
+        assert router.metrics.replica_deaths == 1
+        assert router.metrics.failed == 0
         assert router.degraded_requests >= 1
         assert router.n_live == 1
 

@@ -25,7 +25,7 @@ class TestLazyServeExports:
         assert repro.ServingEngine is ServingEngine
 
     def test_lazy_names_in_all(self):
-        for name in ("ServingEngine", "ModelRegistry", "LoadTestHarness"):
+        for name in ("ServingEngine", "ModelRegistry", "PoissonArrivals"):
             assert name in repro.__all__
 
     def test_unknown_attribute_still_raises(self):

@@ -1,14 +1,20 @@
-"""Tests for repro.serve.loadtest — arrivals, determinism, batching gains."""
+"""Serving load runs on the replay path: arrivals, determinism, batching gains.
+
+A load run is ``TraceReplayer(engine, trace_from_arrivals(...)).run()``;
+the counters and nearest-rank percentiles are read from
+``engine.metrics``, the offered count and makespan from the replay.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ServingError
+from repro.errors import ConfigurationError
+from repro.serve import BurstArrivals, PoissonArrivals
 from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import FeatureCache
 from repro.serve.engine import ConstantServiceModel, ServingEngine
-from repro.serve.loadtest import BurstArrivals, LoadTestHarness, PoissonArrivals
 from repro.serve.registry import ServableModel
+from repro.workloads import TraceReplayer, trace_from_arrivals
 
 
 @pytest.fixture
@@ -16,18 +22,27 @@ def servable(small_ae):
     return ServableModel("ae", small_ae)
 
 
-def make_harness(servable, max_batch, rate, duration=0.5, seed=0, **engine_kwargs):
+def make_engine(servable, max_batch, **engine_kwargs):
     engine_kwargs.setdefault(
         # 1 ms dispatch overhead + 0.05 ms/example: strong batching incentive.
         "service_model",
         ConstantServiceModel(base_s=1e-3, per_example_s=5e-5),
     )
-    engine = ServingEngine(
+    return ServingEngine(
         servable,
         policy=BatchPolicy(max_batch_size=max_batch, max_wait_s=2e-3),
         **engine_kwargs,
     )
-    return LoadTestHarness(engine, PoissonArrivals(rate), duration_s=duration, seed=seed)
+
+
+def load_run(servable, max_batch, rate, duration=0.5, seed=0, payload_pool=64,
+             **engine_kwargs):
+    """Replay seeded Poisson arrivals; returns ``(engine.metrics, replay)``."""
+    engine = make_engine(servable, max_batch, **engine_kwargs)
+    trace = trace_from_arrivals(
+        PoissonArrivals(rate), duration, seed=seed, payload_pool=payload_pool
+    )
+    return engine.metrics, TraceReplayer(engine, trace).run()
 
 
 class TestArrivalProcesses:
@@ -71,63 +86,63 @@ class TestArrivalProcesses:
         assert a == b
 
     def test_reexport_is_the_workloads_class(self):
-        """serve.loadtest re-exports the classes that moved to workloads."""
+        """repro.serve and repro re-export the workloads classes."""
+        import repro
         from repro.workloads import arrivals
 
-        assert PoissonArrivals is arrivals.PoissonArrivals
-        assert BurstArrivals is arrivals.BurstArrivals
+        assert PoissonArrivals is arrivals.PoissonArrivals is repro.PoissonArrivals
+        assert BurstArrivals is arrivals.BurstArrivals is repro.BurstArrivals
 
 
 class TestLoadTestHarness:
+    """The serving gates, on one engine."""
+
     def test_report_accounting_consistent(self, servable):
-        report = make_harness(servable, max_batch=8, rate=2000.0).run()
-        assert report.offered == report.served + report.rejected
-        assert report.served > 0
-        assert report.throughput_rps == pytest.approx(report.served / report.makespan_s)
-        assert report.latency_p50_s <= report.latency_p95_s <= report.latency_p99_s
-        assert 1.0 <= report.mean_batch_size <= 8.0
+        """The engine's counters account for every offered request."""
+        metrics, replay = load_run(servable, max_batch=8, rate=2000.0)
+        assert replay.offered == metrics.served + metrics.rejected
+        assert metrics.served > 0
+        latency = metrics.latency
+        assert latency.percentile(50) <= latency.percentile(95) <= latency.percentile(99)
+        assert 1.0 <= metrics.mean_batch_size <= 8.0
 
     def test_deterministic_across_runs(self, servable, small_ae):
-        """Same seed ⇒ bit-identical latency histograms and report."""
-        first = make_harness(servable, max_batch=16, rate=3000.0, seed=42).run()
-        second = make_harness(
+        """Same seed ⇒ bit-identical latency histograms and counters."""
+        first, first_replay = load_run(servable, max_batch=16, rate=3000.0, seed=42)
+        second, second_replay = load_run(
             ServableModel("ae2", small_ae), max_batch=16, rate=3000.0, seed=42
-        ).run()
-        assert first.latency_buckets == second.latency_buckets
+        )
+        assert first.latency.bucket_counts() == second.latency.bucket_counts()
         assert first.served == second.served
-        assert first.throughput_rps == second.throughput_rps
-        assert first.latency_p99_s == second.latency_p99_s
+        assert first_replay.makespan_s == second_replay.makespan_s
+        assert first.latency.percentile(99) == second.latency.percentile(99)
 
     def test_different_seeds_differ(self, servable, small_ae):
-        first = make_harness(servable, max_batch=16, rate=3000.0, seed=1).run()
-        second = make_harness(
+        first, _ = load_run(servable, max_batch=16, rate=3000.0, seed=1)
+        second, _ = load_run(
             ServableModel("ae2", small_ae), max_batch=16, rate=3000.0, seed=2
-        ).run()
-        assert first.latency_buckets != second.latency_buckets
+        )
+        assert first.latency.bucket_counts() != second.latency.bucket_counts()
 
     def test_batching_at_least_doubles_saturated_throughput(self, servable, small_ae):
         """The acceptance gate: at high arrival rate, dynamic batching
         must deliver ≥ 2× the throughput of batch-size-1 serving."""
         # base_s=1ms ⇒ batch-1 capacity ≈ 950 rps; offered 8000 rps.
-        unbatched = make_harness(servable, max_batch=1, rate=8000.0).run()
-        batched = make_harness(
+        unbatched, unbatched_replay = load_run(servable, max_batch=1, rate=8000.0)
+        batched, batched_replay = load_run(
             ServableModel("ae2", small_ae), max_batch=32, rate=8000.0
-        ).run()
+        )
         assert unbatched.rejected > 0  # the unbatched server saturates
-        assert batched.throughput_rps >= 2.0 * unbatched.throughput_rps
+        assert (batched.served / batched_replay.makespan_s
+                >= 2.0 * unbatched.served / unbatched_replay.makespan_s)
         assert batched.mean_batch_size > 2.0
 
     def test_cache_accelerates_repetitive_traffic(self, servable):
-        harness = make_harness(servable, max_batch=8, rate=2000.0, cache=FeatureCache())
-        harness.payload_pool = 4  # heavy payload reuse
-        report = harness.run()
-        assert report.cache_hits > report.served / 2
-
-    def test_harness_is_single_use(self, servable):
-        harness = make_harness(servable, max_batch=4, rate=500.0, duration=0.1)
-        harness.run()
-        with pytest.raises(ServingError, match="single-use"):
-            harness.run()
+        metrics, _ = load_run(
+            servable, max_batch=8, rate=2000.0, payload_pool=4,  # heavy reuse
+            cache=FeatureCache(),
+        )
+        assert metrics.cache_hits > metrics.served / 2
 
     def test_all_served_requests_carry_results(self, servable):
         engine = ServingEngine(
@@ -135,50 +150,29 @@ class TestLoadTestHarness:
             policy=BatchPolicy(max_batch_size=4, max_wait_s=1e-3),
             service_model=ConstantServiceModel(base_s=1e-4, per_example_s=1e-5),
         )
-        harness = LoadTestHarness(engine, PoissonArrivals(500.0), duration_s=0.2, seed=3)
-        report = harness.run()
-        assert report.rejected == 0
-        assert report.goodput_fraction == 1.0
-
-    def test_explicit_payloads_validated(self, servable):
-        engine = ServingEngine(servable, service_model=ConstantServiceModel())
-        with pytest.raises(ConfigurationError, match="payloads"):
-            LoadTestHarness(
-                engine, PoissonArrivals(100.0), payloads=np.zeros((4, 7))
-            ).run()
+        trace = trace_from_arrivals(PoissonArrivals(500.0), 0.2, seed=3)
+        replay = TraceReplayer(engine, trace).run()
+        assert engine.metrics.rejected == 0
+        assert engine.metrics.served == replay.offered == replay.completed
 
 
 class TestTraceMode:
-    def test_arrivals_and_trace_mutually_exclusive(self, servable):
-        from repro.workloads import trace_from_arrivals
-
-        engine = ServingEngine(servable, service_model=ConstantServiceModel())
-        trace = trace_from_arrivals(PoissonArrivals(200.0), 0.1, seed=0)
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            LoadTestHarness(engine, PoissonArrivals(200.0), trace=trace)
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            LoadTestHarness(engine)
-
     def test_trace_mode_matches_arrivals_mode(self, servable, small_ae):
-        """Replaying the trace the harness would sample gives the same
-        report as sampling it in-line — the refactor's bit-compat contract."""
-        from repro.serve.registry import ServableModel
+        """A trace built from hand-spawned streams, replayed with the pool
+        drawn from stream 1, equals the seeded recipe: the replayer
+        rebuilds that same pool from the trace's seed."""
         from repro.utils.rng import spawn_generators
         from repro.workloads.trace import trace_from_streams
 
-        inline = make_harness(servable, max_batch=8, rate=2000.0, seed=9).run()
+        inline, _ = load_run(servable, max_batch=8, rate=2000.0, seed=9)
         arrival_rng, payload_rng, pick_rng = spawn_generators(9, 3)
         pool = payload_rng.random((64, 25))
         trace = trace_from_streams(
-            PoissonArrivals(2000.0), 0.5, arrival_rng, pick_rng, 64,
-            seed=9, name="loadtest",
+            PoissonArrivals(2000.0), 0.5, arrival_rng, pick_rng, 64, seed=9,
         )
-        engine = ServingEngine(
-            ServableModel("ae2", small_ae),
-            policy=BatchPolicy(max_batch_size=8, max_wait_s=2e-3),
-            service_model=ConstantServiceModel(base_s=1e-3, per_example_s=5e-5),
-        )
-        replayed = LoadTestHarness(engine, trace=trace, payloads=pool).run()
-        assert replayed.latency_buckets == inline.latency_buckets
+        engine = make_engine(ServableModel("ae2", small_ae), max_batch=8)
+        TraceReplayer(engine, trace, payloads=pool).run()
+        replayed = engine.metrics
+        assert replayed.latency.bucket_counts() == inline.latency.bucket_counts()
         assert replayed.served == inline.served
-        assert replayed.latency_p99_s == inline.latency_p99_s
+        assert replayed.latency.percentile(99) == inline.latency.percentile(99)

@@ -192,9 +192,8 @@ class TestRunningPercentile:
 class TestServingMetrics:
     def test_counters_roll_up(self):
         metrics = ServingMetrics()
-        metrics.on_received()
-        metrics.on_received()
-        metrics.on_rejected()
+        metrics.received += 2
+        metrics.rejected += 1
         metrics.on_batch(4)
         metrics.on_batch(2)
         metrics.on_served(0.001, 0.002, 0.003)
@@ -210,7 +209,7 @@ class TestServingMetrics:
         from repro.bench.report import format_table
 
         metrics = ServingMetrics()
-        metrics.on_received()
+        metrics.received += 1
         metrics.on_served(0.001, 0.002, 0.003)
         text = format_table(metrics.rows(), title="serving")
         assert "latency_p99_s" in text
@@ -218,10 +217,8 @@ class TestServingMetrics:
 
     def test_cache_accounting_in_rows(self):
         metrics = ServingMetrics()
-        metrics.on_cache_hit()
-        metrics.on_cache_miss()
-        metrics.on_cache_miss()
-        metrics.on_cache_miss()
+        metrics.cache_hits += 1
+        metrics.cache_misses += 3
         metrics.on_evictions(5)
         by_name = {row["metric"]: row["value"] for row in metrics.rows()}
         assert by_name["cache_hits"] == 1
@@ -242,7 +239,6 @@ class TestServingMetrics:
 
     def test_cancelled_counter_in_rows(self):
         metrics = ServingMetrics()
-        metrics.on_cancelled()
-        metrics.on_cancelled()
+        metrics.cancelled += 2
         by_name = {row["metric"]: row["value"] for row in metrics.rows()}
         assert by_name["requests_cancelled"] == 2

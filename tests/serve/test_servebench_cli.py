@@ -5,6 +5,27 @@ import pytest
 from repro.cli import main
 from repro.serve.benchrun import run_serve_bench, train_demo_servable
 
+#: The rows of the grid below (batch sizes 1 and 16 × 500 and 20,000 rps,
+#: 0.25 s, seed 0).  The clock is simulated, so every value is exact.
+PINNED_ROWS = [
+    {"max_batch": 1, "rate_rps": 500.0, "offered": 116,
+     "served": 116, "rejected": 0, "throughput_rps": 464.0,
+     "mean_batch": 1.0, "p50_ms": 0.1504397348483233,
+     "p95_ms": 0.19842869692815457, "p99_ms": 0.280965326962368},
+    {"max_batch": 1, "rate_rps": 20000.0, "offered": 5024,
+     "served": 2685, "rejected": 2339, "throughput_rps": 6644.471172308145,
+     "mean_batch": 1.0, "p50_ms": 136.02401756120824,
+     "p95_ms": 154.1940872534329, "p99_ms": 154.19936553084702},
+    {"max_batch": 16, "rate_rps": 500.0, "offered": 116,
+     "served": 116, "rejected": 0, "throughput_rps": 462.2568885709687,
+     "mean_batch": 1.8412698412698412, "p50_ms": 2.150439734848325,
+     "p95_ms": 2.1611813926328063, "p99_ms": 2.1611813926328134},
+    {"max_batch": 16, "rate_rps": 20000.0, "offered": 5024,
+     "served": 5024, "rejected": 0, "throughput_rps": 19993.69613765131,
+     "mean_batch": 16.0, "p50_ms": 0.5853740369943048,
+     "p95_ms": 1.0596538124125476, "p99_ms": 1.2538573149724688},
+]
+
 
 class TestServeBenchRows:
     @pytest.fixture(scope="class")
@@ -29,6 +50,9 @@ class TestServeBenchRows:
             for column in ("throughput_rps", "p50_ms", "p95_ms", "p99_ms", "mean_batch"):
                 assert column in row
             assert row["served"] + row["rejected"] == row["offered"]
+
+    def test_rows_are_pinned(self, rows):
+        assert rows == PINNED_ROWS
 
     def test_batching_wins_at_saturation(self, rows):
         by_cell = {(r["max_batch"], r["rate_rps"]): r for r in rows}

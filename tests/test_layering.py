@@ -110,6 +110,17 @@ class TestDetection:
         violations = check_layering.check(root)
         assert [v[4] for v in violations] == ["repro.cluster"]
 
+    def test_serve_sits_below_shard_and_bench(self, tmp_path):
+        """The shard layer wraps models as serve servables and the bench
+        drives engines; neither edge may point back up from serve."""
+        root = self._pkg(
+            tmp_path, "repro.serve", "bad.py",
+            "from repro.shard.shards import ModelShard\n"
+            "def f():\n    from repro.bench.gate import validate\n",
+        )
+        violations = check_layering.check(root)
+        assert sorted(v[4] for v in violations) == ["repro.bench", "repro.shard"]
+
     def test_cluster_must_not_reach_model_internals(self, tmp_path):
         root = self._pkg(
             tmp_path, "repro.cluster", "bad.py",

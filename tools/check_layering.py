@@ -20,8 +20,9 @@ fails the build when a package reaches *down* the wrong way:
   ``repro.runtime``, ``repro.shard`` — imports ``repro.bench``: the
   benches measure the training code, they do not hold any of it;
 * ``repro.data`` imports nothing above the utility layer;
-* ``repro.serve`` must not import ``repro.cluster`` — the cluster tier
-  composes engines, a single engine never knows it is replicated;
+* ``repro.serve`` must not import ``repro.cluster``, ``repro.shard`` or
+  ``repro.bench`` — the cluster tier composes engines, a single engine
+  never knows it is replicated, sharded or benchmarked;
 * ``repro.cluster`` reaches models only *through* the serve layer's
   ``ServableModel`` boundary — never ``repro.train`` / ``repro.nn`` /
   ``repro.core`` / ``repro.data`` internals directly — and never imports
@@ -82,6 +83,8 @@ FORBIDDEN = {
     ),
     "repro.serve": (
         "repro.cluster",
+        "repro.shard",
+        "repro.bench",
     ),
     "repro.cluster": (
         "repro.train",
