@@ -159,14 +159,19 @@ def _worker_rows(
         with engine_cls(
             n_workers=w, blas_threads=1, seed=seed, name=f"bench-{engine}-w{w}"
         ) as eng:
-            _, g_par = eng.sae_gradients(sae, x)
+            _, g_par = eng.gradients(sae, x)
             diff = max(
                 float(np.max(np.abs(g_ref.w1 - g_par.w1))),
                 float(np.max(np.abs(g_ref.b1 - g_par.b1))),
                 float(np.max(np.abs(g_ref.w2 - g_par.w2))),
                 float(np.max(np.abs(g_ref.b2 - g_par.b2))),
             )
-            ms = _time_min(lambda: eng.sae_step(sae, x, lr), trials, inner)
+
+            def step() -> None:
+                _, grads = eng.gradients(sae, x)
+                sae.apply_update(grads, lr, workspace=eng.coordinator_workspace)
+
+            ms = _time_min(step, trials, inner)
         if ms_w1 is None:
             ms_w1 = ms
         rows.append(

@@ -61,6 +61,21 @@ def _stable_hash(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
+def vnode_ring(ids: Sequence[int], n_vnodes: int) -> Tuple[List[int], List[int]]:
+    """The consistent-hash ring of replica ``ids``, ``n_vnodes`` points each.
+
+    Two parallel lists: the vnode hashes in ring order and, for each, its
+    owner's position in ``ids``.  A key belongs to the first vnode at or
+    after it (``bisect_left`` on the hashes), wrapping past the end.
+    """
+    vnodes = sorted(
+        (_stable_hash(f"replica-{rid}-vnode-{v}".encode()), rid)
+        for rid in set(ids)
+        for v in range(n_vnodes)
+    )
+    return [h for h, _ in vnodes], [ids.index(rid) for _, rid in vnodes]
+
+
 def payload_key(payload: np.ndarray) -> int:
     """Routing key of a payload: a stable hash of its exact key bytes
     (:func:`repro.serve.cache.payload_bytes`, the feature cache's key)."""
@@ -151,13 +166,7 @@ class ConsistentHashPolicy:
     def _ring(self, ids: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
         ring = self._rings.get(ids)
         if ring is None:
-            vnodes = sorted(
-                (_stable_hash(f"replica-{rid}-vnode-{v}".encode()), rid)
-                for rid in set(ids)
-                for v in range(self.n_vnodes)
-            )
-            ring = [h for h, _ in vnodes], [ids.index(rid) for _, rid in vnodes]
-            self._rings[ids] = ring
+            ring = self._rings[ids] = vnode_ring(ids, self.n_vnodes)
         return ring
 
     def choose(self, request: ClusterRequest, candidates: Sequence[Replica]) -> Replica:

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.replica import Replica, ReplicaConfig
-from repro.cluster.router import _stable_hash
+from repro.cluster.router import _stable_hash, vnode_ring
 from repro.errors import ConfigurationError, ServingError
 from repro.serve.batcher import Request
 from repro.serve.registry import ServableModel
@@ -61,9 +61,11 @@ __all__ = ["ShardRouter", "ShardedRequest", "place_shards"]
 def place_shards(n_shards: int, replica_ids: Sequence[int], n_vnodes: int = 64) -> Dict[int, int]:
     """Consistent-hash placement: shard index → replica id, one each.
 
-    Shard ``k``'s key walks the sorted vnode ring to the first replica
-    not yet holding a shard.  Deterministic in ``(n_shards,
-    replica_ids)`` alone, like :class:`ConsistentHashPolicy`'s ring.
+    Shard ``k``'s key walks the vnode ring
+    (:func:`~repro.cluster.router.vnode_ring`, the one
+    :class:`~repro.cluster.router.ConsistentHashPolicy` routes on) to the
+    first replica not yet holding a shard.  Deterministic in
+    ``(n_shards, replica_ids)`` alone.
     """
     ids = tuple(sorted(set(int(r) for r in replica_ids)))
     if len(ids) < n_shards:
@@ -71,18 +73,13 @@ def place_shards(n_shards: int, replica_ids: Sequence[int], n_vnodes: int = 64) 
             f"need at least {n_shards} replicas to place {n_shards} shards, "
             f"got {len(ids)}"
         )
-    ring = sorted(
-        (_stable_hash(f"replica-{rid}-vnode-{v}".encode()), rid)
-        for rid in ids
-        for v in range(int(n_vnodes))
-    )
+    hashes, owners = vnode_ring(ids, int(n_vnodes))
     placement: Dict[int, int] = {}
     used: set = set()
     for k in range(n_shards):
-        key = _stable_hash(f"shard-{k}".encode())
-        i = bisect_left(ring, (key, -1))
-        for step in range(len(ring)):
-            rid = ring[(i + step) % len(ring)][1]
+        i = bisect_left(hashes, _stable_hash(f"shard-{k}".encode()))
+        for step in range(len(owners)):
+            rid = ids[owners[(i + step) % len(owners)]]
             if rid not in used:
                 placement[k] = rid
                 used.add(rid)

@@ -225,7 +225,6 @@ class _GreedyStack:
         callbacks=None,
         chunks=None,
         strategy: str = "greedy",
-        sync: str = "synchronized",
         engine_mode: str = "serial",
         n_workers: Optional[int] = None,
         queue_slots: Optional[int] = None,
@@ -281,15 +280,15 @@ class _GreedyStack:
         ``"pipelined"`` (Santara et al.: every layer trains concurrently
         on the evolving representation of the layer below, see
         :mod:`repro.train.pipeline` and ``docs/pipeline.md``).  The
-        pipelined strategy takes ``sync`` (``"synchronized"`` epoch
-        barriers or ``"free"`` run-ahead), per-stage engines built with
-        :func:`repro.runtime.procexec.make_engine` from ``engine_mode`` /
-        ``n_workers`` (instead of a borrowed ``engine=``), an optional
-        activation ``queue_slots`` capacity, and a ``checkpoint_every``
-        snapshot period in epochs.  Checkpoints are strategy-tagged and
-        only resume under the strategy that wrote them; within the
-        pipelined strategy, kill-anywhere resume is bit-identical per
-        layer at a fixed seed (``sync="synchronized"`` only).  Sharded
+        pipelined strategy runs the synchronized schedule (epoch
+        barriers between adjacent stages) and takes per-stage engines
+        built with :func:`repro.runtime.procexec.make_engine` from
+        ``engine_mode`` / ``n_workers`` (instead of a borrowed
+        ``engine=``), an optional activation ``queue_slots`` capacity,
+        and a ``checkpoint_every`` snapshot period in epochs.  Checkpoints
+        are strategy-tagged and only resume under the strategy that wrote
+        them; within the pipelined strategy, kill-anywhere resume is
+        bit-identical per layer at a fixed seed.  Sharded
         pre-training, :func:`repro.nn.sharded.sharded_pretrain`, runs the
         greedy loop over the stack's shards.
         """
@@ -316,21 +315,19 @@ class _GreedyStack:
                 checkpoint=checkpoint,
                 resume_from=resume_from,
                 callbacks=callbacks,
-                sync=sync,
                 engine_mode=engine_mode,
                 n_workers=n_workers,
                 queue_slots=queue_slots,
                 checkpoint_every=checkpoint_every,
             )
         if (
-            sync != "synchronized"
-            or engine_mode != "serial"
+            engine_mode != "serial"
             or n_workers is not None
             or queue_slots is not None
             or checkpoint_every != 1
         ):
             raise ConfigurationError(
-                "sync=, engine_mode=, n_workers=, queue_slots= and "
+                "engine_mode=, n_workers=, queue_slots= and "
                 "checkpoint_every= only apply to strategy='pipelined'"
             )
         self._cascade(
@@ -449,7 +446,6 @@ class _GreedyStack:
         checkpoint,
         resume_from,
         callbacks,
-        sync: str,
         engine_mode: str,
         n_workers: Optional[int],
         queue_slots: Optional[int],
@@ -486,7 +482,7 @@ class _GreedyStack:
             start_epoch, buffers, metrics, event_logs = 0, None, None, None
             if resume_from is not None:
                 start_epoch, buffers, metrics, event_logs = self._restore_pipelined(
-                    resume_from, rngs, engines, sync, engine_mode
+                    resume_from, rngs, engines, engine_mode
                 )
             else:
                 # Same generator layout as greedy (block i inits from
@@ -520,7 +516,6 @@ class _GreedyStack:
                 )
             pretrainer = PipelinedPretrainer(
                 plans,
-                sync=sync,
                 queue_slots=queue_slots,
                 callbacks=callbacks,
                 checkpoint_every=checkpoint_every,
@@ -529,7 +524,7 @@ class _GreedyStack:
             if store is not None:
                 on_snapshot = lambda epochs_done: self._save_pipelined_checkpoint(
                     store, epochs_done, pretrainer, rngs, engines,
-                    sync, engine_mode, checkpoint_every,
+                    engine_mode, checkpoint_every,
                 )
             metrics = pretrainer.run(
                 x,
@@ -556,7 +551,6 @@ class _GreedyStack:
         pretrainer,
         rngs,
         engines,
-        sync: str,
         engine_mode: str,
         checkpoint_every: int,
     ) -> None:
@@ -569,7 +563,7 @@ class _GreedyStack:
             "phase": "pretrain",
             "strategy": {
                 "name": "pipelined",
-                "sync": sync,
+                "sync": "synchronized",
                 "engine_mode": engine_mode,
                 "checkpoint_every": checkpoint_every,
             },
@@ -592,13 +586,13 @@ class _GreedyStack:
         store.save(header, arrays, tag=f"pipeline-epoch{epochs_done}")
 
     def _restore_pipelined(
-        self, resume_from, rngs, engines, sync: str, engine_mode: str
+        self, resume_from, rngs, engines, engine_mode: str
     ):
         """Rebuild every stage's state from a pipelined snapshot; returns
         ``(start_epoch, buffers, metrics, event_logs)``."""
         header, arrays = self._read_snapshot(resume_from, "pipelined")
         strategy = header["strategy"]
-        for key, value in (("sync", sync), ("engine_mode", engine_mode)):
+        for key, value in (("sync", "synchronized"), ("engine_mode", engine_mode)):
             if strategy.get(key) != value:
                 raise CheckpointError(
                     f"checkpoint was taken with {key}={strategy.get(key)!r} "

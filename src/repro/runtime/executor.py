@@ -1,7 +1,7 @@
 """Real shared-memory parallel training executor (paper §IV.A–B, Figs. 5–6).
 
 Everything else under :mod:`repro.runtime` *models* the paper's
-concurrency; this module *executes* it.  Three pieces:
+concurrency; this module *executes* it.  Two pieces:
 
 * :class:`ParallelGradientEngine` — a pool of slot-bound worker threads
   that splits each mini-batch into W shards.  Its one coordinator,
@@ -39,10 +39,6 @@ concurrency; this module *executes* it.  Three pieces:
   timeline is reported in the exact same
   :class:`~repro.runtime.offload.OffloadTimeline` vocabulary so the two
   can be cross-checked on identical chunk parameters.
-
-* :meth:`TaskGraph.execute <repro.runtime.taskgraph.TaskGraph.execute>`
-  accepts either a standard executor or this engine as its pool, running
-  Fig. 6 wavefronts concurrently (see :mod:`repro.runtime.taskgraph`).
 
 Determinism contract: shard *i* always draws from RNG stream *i*
 (derived via :func:`repro.utils.rng.spawn_streams`) and parks its result
@@ -244,7 +240,6 @@ class ParallelGradientEngine:
         self._streams = spawn_streams(seed, self.n_workers)
         self._coord_ws = Workspace(name=f"{self.name}.coordinator")
         self._plans: Dict[int, _ShardPlan] = {}
-        self._rr = 0
         self._closed = False
         self.n_steps = 0
         self._start()
@@ -290,11 +285,9 @@ class ParallelGradientEngine:
     def coordinator_workspace(self) -> Workspace:
         """The coordinator-thread arena used for synchronized updates.
 
-        ``*_step`` apply through this workspace, and so does
-        :class:`repro.train.loop.ModelStep`, which splits every update
-        into a gradient call and ``apply_update`` so the loop can time
-        the apply phase separately: the same arena keeps it
-        allocation-free and bit-identical to the fused ``*_step`` calls.
+        :class:`repro.train.loop.ModelStep` follows every gradient call
+        with ``apply_update(..., workspace=coordinator_workspace)``, so
+        the update allocates nothing after its first step.
         """
         return self._coord_ws
 
@@ -326,21 +319,6 @@ class ParallelGradientEngine:
         from repro.runtime.checkpoint import restore_streams_into
 
         restore_streams_into(self._streams, states)
-
-    # ------------------------------------------------------------------
-    # generic submission (used by TaskGraph.execute)
-    # ------------------------------------------------------------------
-    def submit(self, fn: Callable, *args, **kwargs) -> Future:
-        """Run ``fn`` on the next worker slot (round-robin); returns a future."""
-        self._check_open()
-        slot = self._slots[self._rr % self.n_workers]
-        self._rr += 1
-        return slot.submit(fn, *args, **kwargs)
-
-    def run_tasks(self, fns: Sequence[Callable]) -> List:
-        """Execute callables concurrently across the slots; ordered results."""
-        futures = [self.submit(fn) for fn in fns]
-        return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
     # the coordinator (shared by every engine; transports override the
@@ -534,47 +512,8 @@ class ParallelGradientEngine:
         )
 
     # ------------------------------------------------------------------
-    # per-model entry points: the training steps and benchmarks call these
+    # per-model entry points: ModelStep calls these for RBMs and networks
     # ------------------------------------------------------------------
-    def sae_gradients(self, model, x: np.ndarray, out=None):
-        """Full-batch loss and gradient of a sparse autoencoder on ``x``.
-
-        Equals the serial :meth:`~repro.nn.autoencoder.SparseAutoencoder.gradients`
-        to ≤1e-10: shard gradients are exact shard restrictions of the
-        batch objective (the weight-decay term carries weight ``mᵢ/m``
-        which sums to one), and when the KL sparsity penalty is active the
-        prepass combines the shard hidden means into the *global* ρ̂ before
-        the gradient pass (two-phase protocol).
-
-        ``out`` receives the reduced gradients (e.g. flat-gradient views);
-        omitted, they land in engine-owned accumulators that the next
-        engine call on the model may overwrite.
-        """
-        return self.gradients(model, x, out=out)
-
-    def sae_step(self, model, x: np.ndarray, learning_rate: float) -> float:
-        """One synchronized parallel SGD step; returns the batch loss."""
-        loss, grads = self.sae_gradients(model, x)
-        model.apply_update(grads, learning_rate, workspace=self._coord_ws)
-        return loss
-
-    def flat_objective(self, model) -> Callable:
-        """``objective(theta, batch) -> (loss, grad)`` for :class:`repro.optim.sgd.SGD`.
-
-        Adopts ``theta`` through the model's flat views (no save/restore
-        copies) and reduces the parallel shard gradients straight into the
-        flat gradient storage, so the whole SGD loop runs data-parallel
-        without SGD knowing.
-        """
-        model.enable_flat_views()
-
-        def objective(theta: np.ndarray, batch: np.ndarray):
-            np.copyto(model._flat_theta, np.asarray(theta, dtype=np.float64).ravel())
-            loss, _ = self.sae_gradients(model, batch, out=model._flat_grad_views)
-            return loss, model._flat_grad
-
-        return objective
-
     def cd_gradients(self, rbm, v0: np.ndarray, k: int = 1, sample_visible: bool = False):
         """Data-parallel CD-k statistics with deterministic worker streams.
 
@@ -586,19 +525,6 @@ class ParallelGradientEngine:
         """
         return self.gradients(rbm, v0, k=k, sample_visible=sample_visible)
 
-    def cd_step(
-        self,
-        rbm,
-        v0: np.ndarray,
-        learning_rate: float,
-        k: int = 1,
-        sample_visible: bool = False,
-    ):
-        """One synchronized parallel CD-k update (Eq. 13)."""
-        stats = self.cd_gradients(rbm, v0, k=k, sample_visible=sample_visible)
-        rbm.apply_update(stats, learning_rate, workspace=self._coord_ws)
-        return stats
-
     def supervised_gradients(self, network, x: np.ndarray, targets: np.ndarray):
         """Data-parallel back-propagation through a :class:`~repro.nn.mlp.DeepNetwork`.
 
@@ -607,14 +533,6 @@ class ParallelGradientEngine:
         one).  Gradients land in engine accumulators.
         """
         return self.gradients(network, x, targets)
-
-    def supervised_step(
-        self, network, x: np.ndarray, targets: np.ndarray, learning_rate: float
-    ) -> float:
-        """One synchronized parallel back-propagation update; returns loss."""
-        loss, grads = self.supervised_gradients(network, x, targets)
-        network.apply_update(grads, learning_rate, workspace=self._coord_ws)
-        return loss
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

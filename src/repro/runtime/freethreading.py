@@ -84,13 +84,14 @@ GIL_AUDIT = (
     },
     {
         "module": "repro.runtime.executor",
-        "symbol": "ParallelGradientEngine._acc/_rr/n_steps",
+        "symbol": "ParallelGradientEngine._plans/n_steps",
         "risk": "guarded",
         "note": (
-            "Coordinator-side accumulators and the round-robin counter "
+            "The shard plans (reduce accumulators) and the step counter "
             "are mutated only by the single coordinator thread (documented "
-            "engine contract); worker threads touch only slot-private "
-            "state. Unchanged by GIL removal while that contract holds."
+            "engine contract); slot thread i writes only slot i's output "
+            "arrays and draws only from RNG stream i. Unchanged by GIL "
+            "removal while that contract holds."
         ),
     },
     {

@@ -66,10 +66,9 @@ import os
 import pickle
 import traceback
 import uuid
-from concurrent.futures import Future
 from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,9 +121,11 @@ def _handle(msg: dict, segments: List[np.ndarray], models: Dict[int, object],
     """Execute one control message against the attached segment views.
 
     Pure function of worker-local state — also exercised in-process by the
-    unit tests (``segments`` may then be plain arrays).  ``prepass`` and
-    ``shard`` run one shard of a registered model's shard protocol (see
+    unit tests (``segments`` may then be plain arrays).  ``register``
+    adopts a model; ``prepass`` and ``shard`` run one shard of a
+    registered model's shard protocol (see
     :meth:`~repro.runtime.executor.ParallelGradientEngine.gradients`).
+    Any other op is refused: a worker runs no caller-supplied callable.
     """
     op = msg["op"]
     if op == "register":
@@ -132,9 +133,6 @@ def _handle(msg: dict, segments: List[np.ndarray], models: Dict[int, object],
         model.bind_parameters([segments[i] for i in msg["params"]])
         models[msg["model"]] = model
         return None
-    if op == "call":
-        fn = msg["fn"]
-        return fn(*msg.get("args", ()), **msg.get("kwargs", {}))
     if op not in ("prepass", "shard"):
         raise ConfigurationError(f"unknown engine op {op!r}")
     model = models[msg["model"]]
@@ -313,11 +311,10 @@ class ProcessGradientEngine(ParallelGradientEngine):
     """Data-parallel gradient execution across W slot-bound worker *processes*.
 
     The thread engine's coordinator and entry points — ``gradients``,
-    ``sae_gradients``/``sae_step``, ``cd_gradients``/``cd_step``,
-    ``supervised_gradients``/``supervised_step``, ``flat_objective``,
-    ``coordinator_workspace``, ``capture_rng_streams``/
-    ``restore_rng_streams`` — over a different transport: control
-    messages to worker processes and shared-memory segments.
+    ``cd_gradients``, ``supervised_gradients``, ``coordinator_workspace``,
+    ``capture_rng_streams``/``restore_rng_streams`` — over a different
+    transport: control messages to worker processes and shared-memory
+    segments.
     ``pretrain(engine=)``, ``finetune(engine=)``, the :mod:`repro.train`
     adapters, checkpoint/resume, and the chaos drills run unchanged on
     either engine.
@@ -526,40 +523,6 @@ class ProcessGradientEngine(ParallelGradientEngine):
         except BaseException:
             self._drain(sent)
             raise
-        return self._collect(sent)
-
-    # ------------------------------------------------------------------
-    # generic submission (used by TaskGraph.execute)
-    # ------------------------------------------------------------------
-    def submit(self, fn: Callable, *args, **kwargs) -> Future:
-        """Run picklable ``fn`` on the next worker (round-robin).
-
-        Synchronous: the returned future is already resolved.  Correct for
-        :meth:`TaskGraph.execute <repro.runtime.taskgraph.TaskGraph.execute>`
-        (wavefronts complete in submission order), just without cross-task
-        overlap — shard dispatch, not ``submit``, is this engine's hot path.
-        """
-        self._check_open()
-        i = self._rr % self.n_workers
-        self._rr += 1
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            self._send(i, {"op": "call", "fn": fn, "args": args, "kwargs": kwargs})
-            future.set_result(self._collect([i])[0])
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def run_tasks(self, fns: Sequence[Callable]) -> List:
-        """Execute picklable callables across the workers; ordered results."""
-        self._check_open()
-        sent: List[int] = []
-        for fn in fns:
-            i = self._rr % self.n_workers
-            self._rr += 1
-            self._send(i, {"op": "call", "fn": fn, "args": (), "kwargs": {}})
-            sent.append(i)
         return self._collect(sent)
 
     # ------------------------------------------------------------------

@@ -155,19 +155,6 @@ class BoundedSlotQueue:
                 ) from self._error
             return item
 
-    def try_get(self):
-        """Non-blocking :meth:`get`; returns ``None`` when the queue is
-        empty (the error sentinel still raises)."""
-        try:
-            tag, item = self._queue.get_nowait()
-        except queue.Empty:
-            return None
-        if tag is _ERROR:
-            raise SlotQueueProducerFailed(
-                f"{self.name}: producer failed: {self._error!r}"
-            ) from self._error
-        return item
-
     def release(self) -> None:
         """Return one slot after finishing with a consumed item."""
         self._slots.release()

@@ -113,7 +113,6 @@ class TaskGraph:
     def execute(
         self,
         fns: Optional[Dict[str, Callable[[Dict[str, object]], object]]] = None,
-        pool=None,
         n_workers: Optional[int] = None,
     ) -> Dict[str, object]:
         """Run the graph's wavefronts *concurrently* on a thread pool.
@@ -130,12 +129,9 @@ class TaskGraph:
             ``fn(deps)`` where ``deps`` maps dependency names to their
             results; nodes without a callable yield ``None`` (barrier
             nodes).  Unknown keys raise :class:`~repro.errors.SchedulingError`.
-        pool:
-            Anything with ``submit(fn, *args) -> future``: a
-            ``concurrent.futures`` executor or a
-            :class:`repro.runtime.executor.ParallelGradientEngine`.  When
-            omitted a private ``ThreadPoolExecutor`` of ``n_workers``
-            threads (default: widest wavefront) is created and torn down.
+        n_workers:
+            Threads of the private ``ThreadPoolExecutor`` the call creates
+            and tears down; default: the widest wavefront.
 
         Returns the full ``{node name: result}`` mapping.
         """
@@ -143,18 +139,14 @@ class TaskGraph:
         for name in fns:
             if name not in self._nodes:
                 raise SchedulingError(f"execute() got callable for unknown task {name!r}")
-        fronts = self.wavefronts()
-        own_pool = None
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-            width = max((len(f) for f in fronts), default=1)
-            own_pool = ThreadPoolExecutor(
-                max_workers=n_workers or width, thread_name_prefix="taskgraph"
-            )
-            pool = own_pool
+        fronts = self.wavefronts()
+        width = max((len(f) for f in fronts), default=1)
         results: Dict[str, object] = {}
-        try:
+        with ThreadPoolExecutor(
+            max_workers=n_workers or width, thread_name_prefix="taskgraph"
+        ) as pool:
             for front in fronts:
                 futures = {}
                 for node in front:
@@ -166,9 +158,6 @@ class TaskGraph:
                     futures[node.name] = pool.submit(_run_node, fn, node.name, deps)
                 for name, future in futures.items():
                     results[name] = future.result()
-        finally:
-            if own_pool is not None:
-                own_pool.shutdown(wait=True)
         return results
 
     def critical_path(self, cost: Callable[[TaskNode], float]) -> List[str]:

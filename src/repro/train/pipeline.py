@@ -24,21 +24,14 @@ the unified runtime, with **zero changes to**
   downstream, where stage k+1 scatters them into its materialized input
   buffer — the evolving representation.
 
-Sync policies
--------------
-``sync="synchronized"`` (Santara et al.): stage k+1 drains the queue
-through stage k's epoch-``e`` end-marker before training its own epoch
-``e``, so every stage's epoch ``e`` trains on the layer below's
-post-epoch-``e`` representation.  The data each stage consumes is then a
-pure function of per-stage serial histories — independent of OS thread
-scheduling — which is what makes runs (and kill-anywhere resume)
-bit-identical at a fixed seed.
-
-``sync="free"``: after a one-epoch warm-up drain, stage k+1 applies
-whatever activations have arrived at each batch boundary and never
-blocks on the producer.  Maximum overlap, timing-dependent staleness —
-therefore not bit-reproducible, and checkpointing is refused in this
-mode (the determinism contract backs the resume guarantee).
+The synchronized schedule
+-------------------------
+Stage k+1 drains the queue through stage k's epoch-``e`` end-marker
+before training its own epoch ``e`` (Santara et al.), so every stage's
+epoch ``e`` trains on the layer below's post-epoch-``e`` representation.
+The data each stage consumes is then a pure function of per-stage serial
+histories — independent of OS thread scheduling — which is what makes
+runs (and kill-anywhere resume) bit-identical at a fixed seed.
 
 Checkpointing uses stop-the-world **windows**: every
 ``checkpoint_every`` epochs all stages park on a barrier pair; at the
@@ -79,9 +72,6 @@ SITE_PIPELINE_STAGE = register_fault_site(
 SITE_PIPELINE_QUEUE = register_fault_site(
     "pipeline.queue", "inside an ActivationQueue hand-off (push or pop)"
 )
-
-#: staleness/sync policies accepted by :class:`PipelinedPretrainer`
-SYNC_POLICIES = ("synchronized", "free")
 
 
 class PipelineError(ReproError):
@@ -158,20 +148,6 @@ class ActivationQueue:
             raise PipelineError(
                 f"{self.name}: upstream stage failed or vanished: {exc}"
             ) from (self._q.error or exc)
-        self._q.release()
-        self.popped += 1
-        return item
-
-    def try_pop(self):
-        """Non-blocking pop (free-running mode); ``None`` when empty."""
-        try:
-            item = self._q.try_get()
-        except SlotQueueError as exc:
-            raise PipelineError(
-                f"{self.name}: upstream stage failed: {exc}"
-            ) from (self._q.error or exc)
-        if item is None:
-            return None
         self._q.release()
         self.popped += 1
         return item
@@ -254,8 +230,7 @@ class _SharedBus(TrainingCallback):
 class _StageStep(TrainStep):
     """Delegating step that taps each update to feed the next stage.
 
-    * ``load`` remembers the batch indices (and, free-running, first
-      applies any activations that have already arrived);
+    * ``load`` remembers the batch indices;
     * ``apply`` delegates, then re-encodes the batch with the
       post-update parameters and pushes it downstream.
 
@@ -271,7 +246,6 @@ class _StageStep(TrainStep):
         buffer: Optional[np.ndarray],
         in_queue: Optional[ActivationQueue],
         out_queue: Optional[ActivationQueue],
-        free_running: bool,
         producer_alive: Optional[Callable[[], bool]],
     ):
         self.inner = inner
@@ -279,7 +253,6 @@ class _StageStep(TrainStep):
         self._buffer = buffer
         self._in = in_queue
         self._out = out_queue
-        self._free = free_running
         self._producer_alive = producer_alive
         self.current_epoch = 0
         self._idx: Optional[np.ndarray] = None
@@ -291,8 +264,6 @@ class _StageStep(TrainStep):
         return self.inner.n_examples()
 
     def load(self, idx: np.ndarray):
-        if self._free and self._in is not None:
-            self._drain_available()
         batch = self.inner.load(idx)
         self._idx, self._batch = idx, batch
         return batch
@@ -347,14 +318,6 @@ class _StageStep(TrainStep):
             if marker == _EPOCH_END:
                 return False
 
-    def _drain_available(self) -> None:
-        """Free-running: apply whatever has arrived, without blocking."""
-        while not self._done_seen:
-            item = self._in.try_pop()
-            if item is None:
-                return
-            self._apply_item(item)
-
     def drain_through_done(self) -> None:
         """End-of-run drain: consume everything up to the done marker so
         the upstream stage is never left blocked on a full queue."""
@@ -372,9 +335,6 @@ class PipelinedPretrainer:
         train the same number of epochs — the epoch-marker protocol (and
         the checkpoint-window barrier) needs a uniform epoch grid; use
         the greedy strategy for heterogeneous schedules.
-    sync:
-        ``"synchronized"`` (deterministic epoch-barrier staleness) or
-        ``"free"`` (run-ahead, timing-dependent).
     queue_slots:
         Capacity of each activation queue.  Default: one epoch of the
         producer's batches plus slack, which lets adjacent stages overlap
@@ -394,7 +354,6 @@ class PipelinedPretrainer:
         self,
         plans: Sequence[StagePlan],
         *,
-        sync: str = "synchronized",
         queue_slots: Optional[int] = None,
         callbacks=None,
         checkpoint_every: int = 1,
@@ -415,10 +374,6 @@ class PipelinedPretrainer:
                 f"lock-step), got {sorted(epoch_counts)}; use the greedy "
                 f"strategy for heterogeneous per-layer epochs"
             )
-        if sync not in SYNC_POLICIES:
-            raise ConfigurationError(
-                f"sync must be one of {SYNC_POLICIES}, got {sync!r}"
-            )
         if queue_slots is not None and queue_slots < 1:
             raise ConfigurationError(
                 f"queue_slots must be >= 1, got {queue_slots}"
@@ -428,7 +383,6 @@ class PipelinedPretrainer:
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         self.plans = plans
-        self.sync = sync
         self.epochs = plans[0].epochs
         self.queue_slots = queue_slots
         self.checkpoint_every = int(checkpoint_every)
@@ -509,7 +463,6 @@ class PipelinedPretrainer:
                 buffer=self.buffers[k],
                 in_queue=in_q,
                 out_queue=out_q,
-                free_running=(self.sync == "free"),
                 producer_alive=alive,
             )
             stage_metrics = self.metrics[k]
@@ -521,11 +474,9 @@ class PipelinedPretrainer:
                     ) from self._first_error()
                 if self._stop.is_set():
                     break
-                if in_q is not None and (self.sync == "synchronized"
-                                         or epoch == start_epoch):
-                    # Synchronized: train epoch e on the layer below's
-                    # post-epoch-e representation.  Free: one blocking
-                    # warm-up drain, then per-batch non-blocking drains.
+                if in_q is not None:
+                    # Train epoch e on the layer below's post-epoch-e
+                    # representation.
                     if step.drain_through_epoch(epoch):
                         break  # upstream ended early (stop request)
                 step.current_epoch = epoch
@@ -576,12 +527,6 @@ class PipelinedPretrainer:
         if self._started:
             raise ConfigurationError("a PipelinedPretrainer runs only once")
         self._started = True
-        if on_snapshot is not None and self.sync == "free":
-            raise ConfigurationError(
-                "checkpointing requires sync='synchronized': the free-running "
-                "policy is timing-dependent, so a resumed run could not be "
-                "bit-identical (the contract checkpoints exist to keep)"
-            )
         if not 0 <= start_epoch <= self.epochs:
             raise ConfigurationError(
                 f"start_epoch must be in [0, {self.epochs}], got {start_epoch}"

@@ -156,7 +156,10 @@ class TraceReplayer:
         target = self.target
 
         sim = EventSimulator()
-        completed: List = []
+        # A count and the latency floats, not the requests: a request pins
+        # its payload and its batch's output array.
+        completed = [0]
+        latencies: List[float] = []
         shed = [0]
         train_steps = [0]
         train_failures = [0]
@@ -164,8 +167,14 @@ class TraceReplayer:
         first_train_error = [""]
         next_wake: List[Optional[float]] = [None]
 
+        def record(request) -> None:
+            completed[0] += 1
+            if request.latency_s is not None:
+                latencies.append(request.latency_s)
+
         def drive():
-            completed.extend(target.poll(sim.now))
+            for request in target.poll(sim.now):
+                record(request)
             if next_wake[0] is not None and next_wake[0] <= sim.now + 1e-12:
                 next_wake[0] = None  # that wakeup just fired (or is stale)
             upcoming = target.next_event_time()
@@ -181,7 +190,7 @@ class TraceReplayer:
             if request is None:
                 shed[0] += 1
             elif request.complete_s is not None:
-                completed.append(request)  # cache hit, answered inline
+                record(request)  # cache hit, answered inline
             drive()
 
         def train():
@@ -206,12 +215,13 @@ class TraceReplayer:
         for i, (at_s, _) in enumerate(self.actions):
             sim.schedule_at(at_s, act, i)
         makespan = max(sim.run(), trace.duration_s)
+        # drive schedules itself, so its closure refers to itself; unbind
+        # it so the closures (and the latencies) are freed on return, not
+        # at the next cyclic collection.
+        del drive
 
         offered = trace.n_requests
-        latencies = [
-            r.latency_s for r in completed if r.latency_s is not None
-        ]
-        n_completed = len(completed)
+        n_completed = completed[0]
         errors = max(0, offered - shed[0] - n_completed)
         metrics = getattr(target, "metrics", None)
         cache_hits = int(getattr(metrics, "cache_hits", 0)) if metrics else 0

@@ -48,7 +48,7 @@ class TestFastPerturbation:
         for jitter_seed in range(3):
             with inject(FaultPlan.perturb(seed=jitter_seed, jitter_s=0.002)):
                 with ParallelGradientEngine(3, blas_threads=None) as eng:
-                    loss, grads = eng.sae_gradients(model, x)
+                    loss, grads = eng.gradients(model, x)
             runs.append(_sae_grad_tuple(grads))
             losses.append(loss)
         _assert_bit_equal(runs, ("w1", "b1", "w2", "b2"))
@@ -101,7 +101,7 @@ class TestStressPerturbation:
             for jitter_seed in range(self.N_REPEATS):
                 with inject(FaultPlan.perturb(seed=jitter_seed, jitter_s=0.005)):
                     with ParallelGradientEngine(n_workers, blas_threads=None) as eng:
-                        _, grads = eng.sae_gradients(model, x)
+                        _, grads = eng.gradients(model, x)
                 runs.append(_sae_grad_tuple(grads))
             _assert_bit_equal(runs, ("w1", "b1", "w2", "b2"))
             assert max(float(np.abs(a - b).max())

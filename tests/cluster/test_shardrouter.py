@@ -47,6 +47,43 @@ def _drain(router, sreq):
     return sreq
 
 
+#: ``place_shards(len(fleet), fleet, n_vnodes=v)`` per ``(fleet, v)``, as
+#: recorded before the ring was shared with ``ConsistentHashPolicy``; a
+#: smaller shard count places the same replicas in the same order.
+PINNED_PLACEMENTS = {
+    ((0, 1), 1): [1, 0],
+    ((0, 1), 8): [0, 1],
+    ((0, 1), 64): [0, 1],
+    ((0, 1, 2), 1): [2, 1, 0],
+    ((0, 1, 2), 8): [0, 2, 1],
+    ((0, 1, 2), 64): [2, 1, 0],
+    ((0, 1, 2, 3), 1): [2, 3, 1, 0],
+    ((0, 1, 2, 3), 8): [0, 3, 2, 1],
+    ((0, 1, 2, 3), 64): [2, 1, 3, 0],
+    (tuple(range(8)), 1): [2, 3, 7, 1, 6, 4, 0, 5],
+    (tuple(range(8)), 8): [7, 3, 6, 5, 1, 0, 4, 2],
+    (tuple(range(8)), 64): [2, 6, 5, 0, 3, 7, 4, 1],
+    (tuple(range(16)), 1): [
+        8, 2, 14, 3, 6, 7, 12, 11,
+        5, 15, 1, 4, 9, 13, 0, 10,
+    ],
+    (tuple(range(16)), 8): [
+        7, 8, 13, 3, 6, 12, 14, 0,
+        5, 9, 11, 2, 15, 10, 1, 4,
+    ],
+    (tuple(range(16)), 64): [
+        14, 6, 13, 11, 15, 12, 4, 3,
+        5, 9, 7, 8, 0, 10, 1, 2,
+    ],
+    ((3, 7, 11), 1): [11, 3, 7],
+    ((3, 7, 11), 8): [7, 3, 11],
+    ((3, 7, 11), 64): [7, 11, 3],
+    ((0, 5, 9, 12, 40), 1): [9, 0, 12, 5, 40],
+    ((0, 5, 9, 12, 40), 8): [0, 5, 9, 40, 12],
+    ((0, 5, 9, 12, 40), 64): [40, 5, 9, 12, 0],
+}
+
+
 class TestPlacement:
     def test_one_replica_per_shard_deterministically(self):
         a = place_shards(4, range(4))
@@ -61,6 +98,12 @@ class TestPlacement:
     def test_too_few_replicas_rejected(self):
         with pytest.raises(ConfigurationError):
             place_shards(3, range(2))
+
+    def test_placements_are_pinned_for_every_shard_count(self):
+        for (fleet, n_vnodes), replicas in PINNED_PLACEMENTS.items():
+            for n in range(1, len(fleet) + 1):
+                placement = place_shards(n, fleet, n_vnodes=n_vnodes)
+                assert placement == dict(enumerate(replicas[:n])), (fleet, n_vnodes, n)
 
 
 class TestConstruction:

@@ -1,17 +1,21 @@
-"""Smoke tests: the shipped examples must run end to end.
+"""Smoke tests: every shipped example must run end to end.
 
-Only the three fastest examples run as subprocesses here (the full set is
-exercised manually / in CI); the goal is to catch API drift that would
-break the README's first-contact experience.
+Each example in ``examples/`` runs once, as a subprocess in a scratch
+directory (so a file an example writes stays out of the checkout); the
+content checks below read the same run's output.  The goal is to catch
+API drift that would break the README's first-contact experience.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = ROOT / "examples"
+NAMES = sorted(p.name for p in EXAMPLES.glob("*.py"))
 
 #: What ``serving_demo.py`` prints.  Arrivals, service times and the clock
 #: are simulated, so the report is exact on any host.
@@ -35,30 +39,45 @@ SERVING_DEMO_LINES = [
 ]
 
 
-def run_example(name: str, timeout: int = 180) -> str:
-    proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        cwd=EXAMPLES.parent,
-    )
-    assert proc.returncode == 0, f"{name} failed:\n{proc.stderr[-2000:]}"
-    return proc.stdout
+@pytest.fixture(scope="module")
+def run_example(tmp_path_factory):
+    """``run_example(name)`` -> the example's stdout; each runs once."""
+    outputs = {}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(name: str) -> str:
+        if name not in outputs:
+            proc = subprocess.run(
+                [sys.executable, str(EXAMPLES / name)],
+                capture_output=True,
+                text=True,
+                timeout=180,
+                cwd=tmp_path_factory.mktemp(Path(name).stem),
+                env=env,
+            )
+            assert proc.returncode == 0, f"{name} failed:\n{proc.stderr[-2000:]}"
+            outputs[name] = proc.stdout
+        return outputs[name]
+
+    return run
 
 
 class TestExamples:
-    def test_quickstart(self):
+    @pytest.mark.parametrize("name", NAMES)
+    def test_example_runs(self, name, run_example):
+        assert run_example(name).strip()
+
+    def test_quickstart(self, run_example):
         out = run_example("quickstart.py")
         assert "Phi speedup" in out
         assert "strongest learned filters" in out
 
-    def test_deep_pretraining(self):
+    def test_deep_pretraining(self, run_example):
         out = run_example("deep_pretraining.py")
         assert "Table I" in out
         assert "16,0" in out  # the baseline anchor
 
-    def test_serving_demo(self):
+    def test_serving_demo(self, run_example):
         assert run_example("serving_demo.py").splitlines() == SERVING_DEMO_LINES
 
     def test_examples_directory_complete(self):

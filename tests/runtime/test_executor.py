@@ -21,7 +21,6 @@ from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
 from repro.optim.sgd import SGD
 from repro.runtime import executor
 from repro.runtime.executor import ExecutorClosedError, ParallelGradientEngine
-from repro.runtime.taskgraph import rbm_cd1_taskgraph
 from repro.runtime.workspace import Workspace
 from repro.utils.rng import spawn_streams
 
@@ -51,7 +50,7 @@ class TestSAEEquivalence:
         x = np.random.default_rng(1).random((23, model.n_visible))
         loss_ref, g_ref = model.gradients(x)
         with ParallelGradientEngine(n_workers=n_workers, blas_threads=None) as eng:
-            loss_par, g_par = eng.sae_gradients(model, x)
+            loss_par, g_par = eng.gradients(model, x)
         assert abs(loss_par - loss_ref) <= TOL
         assert _grad_diff(g_ref, g_par) <= TOL
 
@@ -63,7 +62,7 @@ class TestSAEEquivalence:
         x = np.random.default_rng(2).random((17, model.n_visible))
         _, g_ref = model.gradients(x)
         with ParallelGradientEngine(n_workers=4, blas_threads=None) as eng:
-            _, g_par = eng.sae_gradients(model, x)
+            _, g_par = eng.gradients(model, x)
         assert _grad_diff(g_ref, g_par) <= TOL
 
     def test_no_sparsity_single_phase(self):
@@ -71,7 +70,7 @@ class TestSAEEquivalence:
         x = np.random.default_rng(3).random((10, model.n_visible))
         _, g_ref = model.gradients(x)
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
-            _, g_par = eng.sae_gradients(model, x)
+            _, g_par = eng.gradients(model, x)
         assert _grad_diff(g_ref, g_par) <= TOL
 
     def test_step_trajectory_matches_serial(self):
@@ -81,7 +80,8 @@ class TestSAEEquivalence:
         with ParallelGradientEngine(n_workers=3, blas_threads=None) as eng:
             for _ in range(5):
                 batch = rng.random((13, parallel.n_visible))
-                eng.sae_step(parallel, batch, 0.1)
+                _, grads = eng.gradients(parallel, batch)
+                parallel.apply_update(grads, 0.1, workspace=eng.coordinator_workspace)
                 _, grads = serial.gradients_into(batch, ws)
                 serial.apply_update(grads, 0.1, workspace=ws)
         assert float(np.max(np.abs(parallel.w1 - serial.w1))) <= TOL
@@ -91,21 +91,29 @@ class TestSAEEquivalence:
         x = np.random.default_rng(5).random((2, model.n_visible))
         _, g_ref = model.gradients(x)
         with ParallelGradientEngine(n_workers=6, blas_threads=None) as eng:
-            _, g_par = eng.sae_gradients(model, x)
+            _, g_par = eng.gradients(model, x)
         assert _grad_diff(g_ref, g_par) <= TOL
 
     def test_sgd_through_flat_objective_matches_serial(self):
+        # The engine reduces straight into the model's flat gradient views.
         parallel, serial = _sae(seed=7), _sae(seed=7)
         data = np.random.default_rng(6).random((30, parallel.n_visible))
         serial.enable_flat_views()
+        parallel.enable_flat_views()
         ws = Workspace()
 
         def serial_objective(theta, batch):
             return serial.flat_loss_and_grad(theta, batch, workspace=ws)
 
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
+
+            def parallel_objective(theta, batch):
+                np.copyto(parallel._flat_theta, theta)
+                loss, _ = eng.gradients(parallel, batch, out=parallel._flat_grad_views)
+                return loss, parallel._flat_grad
+
             res_par = SGD(learning_rate=0.2, seed=1).minimize(
-                eng.flat_objective(parallel),
+                parallel_objective,
                 parallel.get_flat_parameters(),
                 data, batch_size=8, epochs=2,
             )
@@ -182,7 +190,8 @@ class TestCDDeterminism:
         w_before = rbm.w.copy()
         x = np.random.default_rng(9).random((12, 9))
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
-            stats = eng.cd_step(rbm, x, 0.1)
+            stats = eng.cd_gradients(rbm, x)
+            rbm.apply_update(stats, 0.1, workspace=eng.coordinator_workspace)
         assert stats.reconstruction_error > 0
         assert not np.array_equal(rbm.w, w_before)
 
@@ -273,7 +282,7 @@ def _model(kind, seed=0):
 def _gradients(eng, model, x, rng):
     """One engine gradient call on ``model``; flat list of its results."""
     if isinstance(model, SparseAutoencoder):
-        loss, g = eng.sae_gradients(model, x)
+        loss, g = eng.gradients(model, x)
         return [loss, g.w1, g.b1, g.w2, g.b2]
     if isinstance(model, RBM):
         s = eng.cd_gradients(model, x)
@@ -284,13 +293,15 @@ def _gradients(eng, model, x, rng):
 
 
 def _step(eng, model, x, rng):
+    """One synchronized update: an engine gradient call, then the apply."""
     if isinstance(model, SparseAutoencoder):
-        eng.sae_step(model, x, 0.1)
+        _, grads = eng.gradients(model, x)
     elif isinstance(model, RBM):
-        eng.cd_step(model, x, 0.1)
+        grads = eng.cd_gradients(model, x)
     else:
         targets = np.eye(4)[rng.integers(0, 4, size=x.shape[0])]
-        eng.supervised_step(model, x, targets, 0.1)
+        _, grads = eng.supervised_gradients(model, x, targets)
+    model.apply_update(grads, 0.1, workspace=eng.coordinator_workspace)
 
 
 def _run_steps(kind, n_workers):
@@ -412,7 +423,7 @@ class TestLifecycle:
         eng.close()
         assert eng.closed
         with pytest.raises(ExecutorClosedError):
-            eng.submit(lambda: 1)
+            eng.gradients(_sae(), np.zeros((4, 12)))
         eng.close()  # idempotent
 
     def test_context_manager_closes(self):
@@ -420,18 +431,21 @@ class TestLifecycle:
             assert not eng.closed
         assert eng.closed
 
-    def test_run_tasks_preserves_order(self):
-        with ParallelGradientEngine(n_workers=3, blas_threads=None) as eng:
-            results = eng.run_tasks([lambda i=i: i * i for i in range(7)])
-        assert results == [i * i for i in range(7)]
+    def test_worker_exception_propagates(self, monkeypatch, threaded_dispatch):
+        model = _sae()
+        x = np.random.default_rng(0).random((8, model.n_visible))
 
-    def test_worker_exception_propagates(self):
-        def boom():
+        def boom(*args, **kwargs):
             raise ValueError("shard failed")
 
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
-            with pytest.raises(ValueError, match="shard failed"):
-                eng.submit(boom).result()
+            with monkeypatch.context() as patch:
+                patch.setattr(SparseAutoencoder, "shard_gradients", boom)
+                with pytest.raises(ValueError, match="shard failed"):
+                    eng.gradients(model, x)
+            # The failed call left the engine usable.
+            _, g_par = eng.gradients(model, x)
+        assert _grad_diff(model.gradients(x)[1], g_par) <= TOL
 
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigurationError):
@@ -441,7 +455,7 @@ class TestLifecycle:
         model = _sae()
         with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(ConfigurationError):
-                eng.sae_gradients(model, np.zeros((4, model.n_visible + 1)))
+                eng.gradients(model, np.zeros((4, model.n_visible + 1)))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_empty_batch_rejected_with_its_shape(self, kind):
@@ -457,25 +471,6 @@ class TestLifecycle:
         assert bounds[-1][1] == 10
         sizes = [stop - start for start, stop in bounds]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestTaskGraphExecution:
-    def test_cd1_graph_on_engine_pool(self):
-        graph = rbm_cd1_taskgraph()
-        trace = []
-
-        def make(name):
-            return lambda deps: trace.append(name) or name
-
-        fns = {name: make(name) for name in graph.names}
-        with ParallelGradientEngine(n_workers=2, blas_threads=None) as eng:
-            results = graph.execute(fns, pool=eng)
-        assert set(results) == set(graph.names)
-        # Every node ran after all of its dependencies.
-        order = {name: i for i, name in enumerate(trace)}
-        for name in graph.names:
-            for dep in graph.node(name).deps:
-                assert order[dep] < order[name]
 
 
 class TestOneShardInPlace:
@@ -521,18 +516,18 @@ class TestOneShardInPlace:
         target = [np.empty_like(p) for p in model.parameters()]
         x = np.random.default_rng(4).random((9, 8))
         with ParallelGradientEngine(1, blas_threads=None) as eng:
-            _, grads = eng.sae_gradients(model, x, out=target)
+            _, grads = eng.gradients(model, x, out=target)
         assert outs == [target] and reduces == []
         assert all(a is b for a, b in zip(grads, target))
 
     def test_flat_objective_writes_the_flat_gradient_views(self, monkeypatch):
+        # A flat SGD objective passes the model's flat gradient views as out=.
         model = _model("sae")
         outs, reduces = self._spy(monkeypatch, model)
         x = np.random.default_rng(5).random((9, 8))
+        model.enable_flat_views()
         with ParallelGradientEngine(1, blas_threads=None) as eng:
-            objective = eng.flat_objective(model)
-            _, grad = objective(model.get_flat_parameters(), x)
+            eng.gradients(model, x, out=model._flat_grad_views)
         (out,) = outs
         assert out is model._flat_grad_views and reduces == []
-        assert grad is model._flat_grad
-        assert all(np.shares_memory(view, grad) for view in out)
+        assert all(np.shares_memory(view, model._flat_grad) for view in out)

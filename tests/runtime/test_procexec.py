@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from functools import partial
 
 import numpy as np
 import pytest
@@ -53,13 +52,40 @@ def _grad_diff(a, b):
     )
 
 
-# Worker payloads must be picklable: module-level, not lambdas.
-def _square(i):
-    return i * i
+class _FaultyModel:
+    """A shard-protocol model whose shard fails on the worker process.
 
+    Module-level so the engine can pickle it to its workers.  ``action``
+    is ``"raise"`` (a worker-side exception) or ``"exit"`` (the worker
+    process dies).  The exit never runs in the process that built the
+    model, so a shard that ran on the coordinator cannot end the test run.
+    """
 
-def _boom():
-    raise ValueError("shard failed")
+    shard_kind = "faulty"
+
+    def __init__(self, action: str):
+        self.action = action
+        self.owner_pid = os.getpid()
+        self.w = np.zeros(3)
+
+    def parameters(self):
+        return [self.w]
+
+    def bind_parameters(self, arrays):
+        (self.w,) = arrays
+
+    def batch_widths(self):
+        return (3,)
+
+    def shard_gradients(self, workspace, out, shard, pre=None, rng=None):
+        if os.getpid() == self.owner_pid:
+            raise AssertionError("the shard ran on the coordinator")
+        if self.action == "exit":
+            os._exit(3)
+        raise ValueError("shard failed")
+
+    def shard_result(self, loss, grads):
+        return loss, grads
 
 
 class TestSAEEquivalence:
@@ -69,7 +95,7 @@ class TestSAEEquivalence:
         x = np.random.default_rng(1).random((23, model.n_visible))
         loss_ref, g_ref = model.gradients(x)
         with ProcessGradientEngine(n_workers=n_workers, blas_threads=None) as eng:
-            loss_par, g_par = eng.sae_gradients(model, x)
+            loss_par, g_par = eng.gradients(model, x)
         assert abs(loss_par - loss_ref) <= TOL
         assert _grad_diff(g_ref, g_par) <= TOL
 
@@ -78,7 +104,7 @@ class TestSAEEquivalence:
         x = np.random.default_rng(2).random((17, model.n_visible))
         _, g_ref = model.gradients(x)
         with ProcessGradientEngine(n_workers=4, blas_threads=None) as eng:
-            _, g_par = eng.sae_gradients(model, x)
+            _, g_par = eng.gradients(model, x)
         assert _grad_diff(g_ref, g_par) <= TOL
 
     def test_bit_identical_to_thread_engine(self):
@@ -87,9 +113,9 @@ class TestSAEEquivalence:
         model = _sae(sparsity=10.0)
         x = np.random.default_rng(3).random((19, model.n_visible))
         with ParallelGradientEngine(n_workers=3, blas_threads=None) as eng:
-            loss_t, g_t = eng.sae_gradients(model, x)
+            loss_t, g_t = eng.gradients(model, x)
         with ProcessGradientEngine(n_workers=3, blas_threads=None) as eng:
-            loss_p, g_p = eng.sae_gradients(model, x)
+            loss_p, g_p = eng.gradients(model, x)
         assert loss_p == loss_t
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(g_p, name), getattr(g_t, name))
@@ -101,7 +127,8 @@ class TestSAEEquivalence:
         with ProcessGradientEngine(n_workers=3, blas_threads=None) as eng:
             for _ in range(5):
                 batch = rng.random((13, parallel.n_visible))
-                eng.sae_step(parallel, batch, 0.1)
+                _, grads = eng.gradients(parallel, batch)
+                parallel.apply_update(grads, 0.1, workspace=eng.coordinator_workspace)
                 _, grads = serial.gradients_into(batch, ws)
                 serial.apply_update(grads, 0.1, workspace=ws)
         assert float(np.max(np.abs(parallel.w1 - serial.w1))) <= TOL
@@ -111,21 +138,30 @@ class TestSAEEquivalence:
         x = np.random.default_rng(5).random((2, model.n_visible))
         _, g_ref = model.gradients(x)
         with ProcessGradientEngine(n_workers=6, blas_threads=None) as eng:
-            _, g_par = eng.sae_gradients(model, x)
+            _, g_par = eng.gradients(model, x)
         assert _grad_diff(g_ref, g_par) <= TOL
 
     def test_sgd_through_flat_objective_matches_serial(self):
+        # The engine reduces straight into the model's flat gradient views;
+        # every call publishes the adopted theta to the workers first.
         parallel, serial = _sae(seed=7), _sae(seed=7)
         data = np.random.default_rng(6).random((30, parallel.n_visible))
         serial.enable_flat_views()
+        parallel.enable_flat_views()
         ws = Workspace()
 
         def serial_objective(theta, batch):
             return serial.flat_loss_and_grad(theta, batch, workspace=ws)
 
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
+
+            def parallel_objective(theta, batch):
+                np.copyto(parallel._flat_theta, theta)
+                loss, _ = eng.gradients(parallel, batch, out=parallel._flat_grad_views)
+                return loss, parallel._flat_grad
+
             res_par = SGD(learning_rate=0.2, seed=1).minimize(
-                eng.flat_objective(parallel),
+                parallel_objective,
                 parallel.get_flat_parameters(),
                 data, batch_size=8, epochs=2,
             )
@@ -194,7 +230,8 @@ class TestCDDeterminism:
         w_before = rbm.w.copy()
         x = np.random.default_rng(9).random((12, 9))
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
-            stats = eng.cd_step(rbm, x, 0.1)
+            stats = eng.cd_gradients(rbm, x)
+            rbm.apply_update(stats, 0.1, workspace=eng.coordinator_workspace)
         assert stats.reconstruction_error > 0
         assert not np.array_equal(rbm.w, w_before)
 
@@ -264,7 +301,7 @@ class TestLifecycle:
         eng.close()
         assert eng.closed
         with pytest.raises(ExecutorClosedError):
-            eng.submit(_square, 2)
+            eng.gradients(_sae(), np.zeros((4, 12)))
         eng.close()  # idempotent
 
     def test_context_manager_closes(self):
@@ -272,18 +309,16 @@ class TestLifecycle:
             assert not eng.closed
         assert eng.closed
 
-    def test_run_tasks_preserves_order(self):
-        with ProcessGradientEngine(n_workers=3, blas_threads=None) as eng:
-            results = eng.run_tasks([partial(_square, i) for i in range(7)])
-        assert results == [i * i for i in range(7)]
-
     def test_worker_exception_propagates(self):
+        model = _sae()
+        x = np.random.default_rng(0).random((8, model.n_visible))
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(ValueError, match="shard failed"):
-                eng.submit(_boom).result()
+                eng.gradients(_FaultyModel("raise"), np.zeros((4, 3)))
             # A worker-side exception is not an engine failure: the reply
             # pipes stayed aligned and the engine keeps working.
-            assert eng.submit(_square, 4).result() == 16
+            _, g_par = eng.gradients(model, x)
+        assert _grad_diff(model.gradients(x)[1], g_par) <= TOL
 
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigurationError):
@@ -297,13 +332,13 @@ class TestLifecycle:
         model = _sae()
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(ConfigurationError):
-                eng.sae_gradients(model, np.zeros((4, model.n_visible + 1)))
+                eng.gradients(model, np.zeros((4, model.n_visible + 1)))
 
     def test_empty_batch_rejected_with_its_shape(self):
         empty = np.zeros((0, 8))
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
-                eng.sae_gradients(_sae(n_visible=8), empty)
+                eng.gradients(_sae(n_visible=8), empty)
             with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
                 eng.cd_gradients(RBM(8, 5, seed=0), empty)
             with pytest.raises(ConfigurationError, match=r"\(0, 8\)"):
@@ -322,16 +357,16 @@ class TestFailureContainment:
     def test_worker_death_raises_engine_error_not_hang(self):
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(EngineError, match="died"):
-                eng.submit(os._exit, 3).result()
+                eng.gradients(_FaultyModel("exit"), np.zeros((4, 3)))
 
     def test_engine_is_broken_after_worker_death(self):
         model = _sae()
         x = np.zeros((4, model.n_visible))
         with ProcessGradientEngine(n_workers=2, blas_threads=None) as eng:
             with pytest.raises(EngineError):
-                eng.submit(os._exit, 1).result()
+                eng.gradients(_FaultyModel("exit"), np.zeros((4, 3)))
             with pytest.raises(EngineError, match="unusable"):
-                eng.sae_gradients(model, x)
+                eng.gradients(model, x)
         # close() after the crash still unlinked every segment — the
         # conftest shared-memory leak guard fails this test otherwise.
         assert eng.closed
@@ -383,7 +418,7 @@ class TestSpawnSafety:
                 with ProcessGradientEngine(
                     n_workers=2, blas_threads=None, mp_context="spawn"
                 ) as eng:
-                    _, g_par = eng.sae_gradients(model, x)
+                    _, g_par = eng.gradients(model, x)
                 print(float(np.max(np.abs(g_ref.w1 - g_par.w1))))
             """
         ))
@@ -495,8 +530,10 @@ class TestWorkerInternals:
         assert models[0].b2 is segments[3]
 
     def test_handle_call_and_unknown_op(self):
+        # A worker runs only the shard protocol, never a shipped callable.
         ws = Workspace()
-        assert _handle({"op": "call", "fn": _square, "args": (3,)}, [], {}, ws) == 9
+        with pytest.raises(ConfigurationError, match="unknown engine op 'call'"):
+            _handle({"op": "call", "fn": os.getpid, "args": ()}, [], {}, ws)
         with pytest.raises(ConfigurationError, match="unknown engine op"):
             _handle({"op": "warp"}, [], {}, ws)
 

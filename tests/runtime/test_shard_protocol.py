@@ -163,7 +163,7 @@ class TestPipelineStage:
             self._plan(0, layers[0], neg, seed=7),
             self._plan(1, layers[1], neg_hidden, seed=8),
         ]
-        metrics = PipelinedPretrainer(plans, sync="synchronized").run(pos)
+        metrics = PipelinedPretrainer(plans).run(pos)
         return layers, metrics
 
     def test_synchronized_runs_bit_identical(self):

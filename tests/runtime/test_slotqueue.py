@@ -73,19 +73,6 @@ class TestHandoff:
         t.join(timeout=2.0)
         assert acquired == [True]
 
-    def test_try_get_returns_none_on_empty(self):
-        q = BoundedSlotQueue(1)
-        assert q.try_get() is None
-        q.acquire()
-        q.put("x")
-        assert q.try_get() == "x"
-
-    def test_try_get_raises_on_error_sentinel(self):
-        q = BoundedSlotQueue(1)
-        q.put_error(ValueError("boom"))
-        with pytest.raises(SlotQueueProducerFailed):
-            q.try_get()
-
 
 class TestProducerDeath:
     def test_put_error_surfaces_with_cause(self):

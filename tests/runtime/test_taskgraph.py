@@ -1,5 +1,7 @@
 """Tests for repro.runtime.taskgraph — DAG scheduling and paper Fig. 6."""
 
+import threading
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -118,6 +120,26 @@ class TestFig6Graph:
         assert g.node("V1").kernel is kernels["V1"]
         assert g.node("Vw").kernel is kernels["Vw"]
         assert g.node("H1").kernel is None
+
+    def test_cd1_graph_runs_on_its_own_pool(self):
+        g = rbm_cd1_taskgraph()
+        trace = []
+
+        def make(name):
+            def fn(deps):
+                trace.append((name, threading.current_thread().name))
+                return name
+
+            return fn
+
+        results = g.execute({name: make(name) for name in g.names}, n_workers=2)
+        assert results == {name: name for name in g.names}
+        assert all(thread.startswith("taskgraph") for _, thread in trace)
+        # Every node ran after all of its dependencies.
+        order = {name: i for i, (name, _) in enumerate(trace)}
+        for name in g.names:
+            for dep in g.node(name).deps:
+                assert order[dep] < order[name]
 
     def test_wavefront_parallelism_shortens_critical_path(self):
         """The graph's reason to exist: the critical path is strictly

@@ -2,13 +2,12 @@
 
 The contract under test, per ``docs/pipeline.md``:
 
-* two pipelined runs at the same seed are bit-identical (synchronized
-  *and* free-running: stage 0 never waits on anyone);
+* two pipelined runs at the same seed are bit-identical;
 * stage 0 is bit-identical to greedy block 0 (same generator layout);
 * upper stages legitimately differ from greedy — they train on the
   *evolving* representation, not the converged one;
 * configuration errors are typed and early (uniform epochs, borrowed
-  engines, chunked staging, checkpoint + free-running);
+  engines, chunked staging, a snapshot of another sync schedule);
 * a queue capacity of 1 only stalls the producer — it never deadlocks;
 * an early-stopping request winds the whole pipeline down cleanly.
 """
@@ -18,6 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
+from repro.runtime.checkpoint import CheckpointError, CheckpointStore, atomic_save_npz
 from repro.train import EarlyStopping, History
 from repro.train.pipeline import (
     ActivationQueue,
@@ -73,12 +73,6 @@ class TestDeterminism:
         greedy = _params(_sae(x))
         piped = _params(_sae(x, strategy="pipelined"))
         assert not np.array_equal(greedy[1]["w1"], piped[1]["w1"])
-
-    def test_free_running_stage0_matches_greedy(self, x):
-        piped = _params(_sae(x, strategy="pipelined", sync="free"))
-        greedy = _params(_sae(x))
-        for key in greedy[0]:
-            assert np.array_equal(greedy[0][key], piped[0][key])
 
     def test_layer_errors_one_list_per_stage(self, x):
         stack = _sae(x, strategy="pipelined")
@@ -155,19 +149,20 @@ class TestValidation:
     def test_pipelined_kwargs_rejected_under_greedy(self, x):
         stack = StackedAutoencoder(N_VISIBLE, _specs(), seed=7)
         with pytest.raises(ConfigurationError, match="pipelined"):
-            stack.pretrain(x, sync="free")
+            stack.pretrain(x, queue_slots=2)
 
     def test_checkpoint_with_free_running_rejected(self, x, tmp_path):
+        """The pipeline runs only the synchronized schedule: a snapshot
+        whose header records another one is refused on resume."""
+        store = CheckpointStore(tmp_path / "store", keep=1)
+        _sae(x, strategy="pipelined", checkpoint=store)
+        header, arrays = store.load_latest()
+        assert header["strategy"]["sync"] == "synchronized"
+        header["strategy"]["sync"] = "free"
+        forged = atomic_save_npz(tmp_path / "free.npz", header, arrays)
         stack = StackedAutoencoder(N_VISIBLE, _specs(), seed=7)
-        with pytest.raises(ConfigurationError, match="synchronized"):
-            stack.pretrain(
-                x, strategy="pipelined", sync="free", checkpoint=tmp_path
-            )
-
-    def test_unknown_sync_policy_rejected(self, x):
-        stack = StackedAutoencoder(N_VISIBLE, _specs(), seed=7)
-        with pytest.raises(ConfigurationError, match="sync"):
-            stack.pretrain(x, strategy="pipelined", sync="chaotic")
+        with pytest.raises(CheckpointError, match="sync='free'"):
+            stack.pretrain(x, strategy="pipelined", resume_from=forged)
 
     def test_pretrainer_runs_only_once(self, x):
         from repro.train import TrainStep

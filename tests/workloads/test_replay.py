@@ -1,5 +1,8 @@
 """Tests for repro.workloads.replay — the duck-typed trace replayer."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,24 @@ class TestReplay:
         assert report.cache_hits > 0
         assert report.completed == report.offered  # hits aren't double-counted
         assert report.errors == 0
+
+    def test_run_leaves_no_cyclic_garbage(self, servable):
+        """What run() leaves for the cyclic collector stays under 64 B per
+        request: no request object (with its payload and result views)
+        outlives the replay in a reference cycle."""
+        trace = poisson_trace(rate=10_000.0, duration=0.5)  # ~5,000 requests
+        replayer = TraceReplayer(make_engine(servable, max_batch=32, queue_depth=256), trace)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = replayer.run()
+            after_run = tracemalloc.get_traced_memory()[0]
+            gc.collect()
+            after_collect = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.completed > 4_000
+        assert (after_run - after_collect) / trace.n_requests < 64
 
 
 class _FlakyTrainer:
