@@ -1,8 +1,9 @@
 """Metrics-driven autoscaling: the fleet follows the load.
 
-The scaling signals come from the :class:`ServingMetrics` snapshots the
-replica engines already emit — no new instrumentation, exactly the
-counters the serving layer has published since PR 1:
+The scaling signals are two numbers every routable replica already
+keeps, so the autoscaler adds no instrumentation: its engine's
+admission-control count ``engine.metrics.rejected`` and its
+``outstanding`` work (queued plus in flight):
 
 * **scale up** when the fleet shows distress: any admission-control
   rejections since the last evaluation (requests are being shed — the

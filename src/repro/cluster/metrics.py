@@ -15,8 +15,6 @@ counters and histogram fingerprints.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.serve.metrics import LatencyHistogram
 
 
@@ -48,27 +46,3 @@ class ClusterMetrics:
         if cache_hit:
             self.cache_hits += 1
         self.latency.record(latency_s)
-
-    # ------------------------------------------------------------------
-    def rows(self) -> List[Dict[str, object]]:
-        """Counter + percentile rows for :func:`repro.bench.report.format_table`."""
-        return [
-            {"metric": "requests_received", "value": self.received},
-            {"metric": "requests_completed", "value": self.completed},
-            {"metric": "requests_failed", "value": self.failed},
-            {"metric": "requests_shed", "value": self.shed},
-            {"metric": "requests_rerouted", "value": self.rerouted},
-            {"metric": "cache_hits", "value": self.cache_hits},
-            {"metric": "hedges_launched", "value": self.hedges_launched},
-            {"metric": "hedges_won", "value": self.hedges_won},
-            {"metric": "hedges_cancelled", "value": self.hedges_cancelled},
-            {"metric": "hedges_wasted", "value": self.hedges_wasted},
-            {"metric": "backpressure_events", "value": self.backpressure_events},
-            {"metric": "replica_deaths", "value": self.replica_deaths},
-            {"metric": "swaps", "value": self.swaps},
-            {"metric": "scale_ups", "value": self.scale_ups},
-            {"metric": "scale_downs", "value": self.scale_downs},
-            {"metric": "latency_p50_s", "value": self.latency.percentile(50)},
-            {"metric": "latency_p95_s", "value": self.latency.percentile(95)},
-            {"metric": "latency_p99_s", "value": self.latency.percentile(99)},
-        ]

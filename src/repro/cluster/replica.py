@@ -25,7 +25,7 @@ chaos plan can stretch a replica's service times (straggler) with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -215,25 +215,6 @@ class Replica:
         self.alive = False
         self.died_at = now
         self._draining.clear()
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Load/health snapshot the router's policies and autoscaler read."""
-        metrics = self.engine.metrics
-        return {
-            "replica": self.id,
-            "alive": self.alive,
-            "retiring": self.retiring,
-            "draining": self.draining,
-            "model": self.servable.name,
-            "queue_depth": self.queue_depth,
-            "in_flight": self.engine.in_flight,
-            "outstanding": self.outstanding,
-            "received": metrics.received,
-            "served": metrics.served,
-            "rejected": metrics.rejected,
-            "cache_hit_rate": metrics.cache_hit_rate,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if not self.alive else ("retiring" if self.retiring else "live")

@@ -266,7 +266,6 @@ class Router:
         self.metrics = ClusterMetrics()
         self._servable = servable
         self._replicas: List[Replica] = []
-        self._retired: List[Replica] = []
         self._next_replica_id = 0
         self._ids = itertools.count()
         self._pending: Dict[int, ClusterRequest] = {}
@@ -304,11 +303,6 @@ class Router:
     def swap_complete(self) -> bool:
         """Has every live replica finished draining its pre-swap engine?"""
         return all(not r.draining for r in self._replicas if r.alive)
-
-    def snapshots(self) -> List[Dict[str, object]]:
-        """Per-replica load/health rows (fleet + retired, by id)."""
-        everyone = sorted(self._replicas + self._retired, key=lambda r: r.id)
-        return [r.snapshot() for r in everyone]
 
     # -- request path ----------------------------------------------------
     def submit(self, payload: np.ndarray, now: float) -> Optional[ClusterRequest]:
@@ -533,12 +527,14 @@ class Router:
                 self.metrics.hedges_launched += 1
 
     def _reap(self, now: float) -> None:
+        """Drop settled dead members and drained retirees from the fleet;
+        nothing else holds them, so their engines, caches and latency
+        samples go with them."""
         for replica in list(self._replicas):
             dead_and_settled = not replica.alive and replica.failed_over
             drained_retiree = replica.retiring and replica.outstanding == 0
             if dead_and_settled or drained_retiree:
                 self._replicas.remove(replica)
-                self._retired.append(replica)
 
     def _replica_by_id(self, replica_id: int) -> Optional[Replica]:
         for replica in self._replicas:

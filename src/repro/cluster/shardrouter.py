@@ -185,9 +185,6 @@ class ShardRouter:
     def replica_of(self, shard_index: int) -> Replica:
         return self._replicas[self.placement[shard_index]]
 
-    def snapshots(self) -> List[Dict[str, object]]:
-        return [r.snapshot() for r in self.replicas]
-
     # -- request path ----------------------------------------------------
     def submit(self, payload: np.ndarray, now: float) -> Optional[ShardedRequest]:
         """Scatter one request to every shard; ``None`` = all legs lost."""

@@ -30,16 +30,6 @@ from repro.core.rbm_trainer import RBMTrainer
 from repro.core.finetune_trainer import FinetuneTrainer
 from repro.core.pipeline import ChunkedTrainingPipeline, HeterogeneousSplit
 from repro.core.pretrain import DeepPretrainer, LayerResult, PretrainResult
-from repro.core.callbacks import (
-    CallbackList,
-    EarlyStopping,
-    EpochEvent,
-    History,
-    LayerEvent,
-    ProgressLogger,
-    TrainingCallback,
-    UpdateEvent,
-)
 
 __all__ = [
     "TrainingConfig",
@@ -59,12 +49,4 @@ __all__ = [
     "DeepPretrainer",
     "LayerResult",
     "PretrainResult",
-    "TrainingCallback",
-    "CallbackList",
-    "History",
-    "EarlyStopping",
-    "ProgressLogger",
-    "UpdateEvent",
-    "EpochEvent",
-    "LayerEvent",
 ]

@@ -72,7 +72,7 @@ class SparseAutoencoderTrainer(SimulatedTrainerBase):
         ``config.n_examples`` for the functional loop (the simulated
         transfer model still uses the configured dimensions so that
         small functional datasets can stand in for paper-scale runs).
-        ``callbacks`` (see :mod:`repro.core.callbacks`) receive per-update
+        ``callbacks`` (see :mod:`repro.train.callbacks`) receive per-update
         and per-epoch events and may stop the run early.
         Returns a result carrying both the loss curve and the
         simulated-clock total for the *functional* number of updates.

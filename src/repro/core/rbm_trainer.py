@@ -65,7 +65,7 @@ class RBMTrainer(SimulatedTrainerBase):
 
         ``x`` should contain values in [0, 1] (Bernoulli visibles).
         ``callbacks`` may monitor and stop the run (see
-        :mod:`repro.core.callbacks`).  Returns per-update reconstruction
+        :mod:`repro.train.callbacks`).  Returns per-update reconstruction
         errors in ``losses`` and per-epoch mean errors in
         ``reconstruction_errors``.
         """

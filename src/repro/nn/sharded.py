@@ -108,9 +108,6 @@ class _ShardedCascade(_Cascade):
         for shard in self.shards[1:]:
             np.copyto(getattr(shard.model.blocks[0], name), source)
 
-    def trained(self, index: int):
-        return [shard.model.blocks[index] for shard in self.shards]
-
     def finish(self) -> None:
         self.stack.blocks = merge(self.shards).blocks
 
@@ -143,7 +140,6 @@ def sharded_pretrain(
     resume_from=None,
     exchange_every: int = 0,
     callbacks=None,
-    callback=None,
 ) -> List[ModelShard]:
     """Greedy layer-wise pre-training with the stack split into shards.
 
@@ -155,11 +151,12 @@ def sharded_pretrain(
     > 0 re-syncs the replicated first-block bias from shard 0 every that
     many updates, behind the ``shard.exchange`` fault site.
 
-    ``engine``, ``checkpoint``, ``resume_from``, ``callbacks`` and
-    ``callback`` follow :meth:`~repro.nn.stacked._GreedyStack.pretrain`
-    (``callback`` receives the list of the shards' sub-blocks): a
-    resumed run is bit-identical at the same seed, hyper-parameters,
-    shard count, execution mode and worker count (all validated).
+    ``engine``, ``checkpoint``, ``resume_from`` and ``callbacks`` follow
+    :meth:`~repro.nn.stacked._GreedyStack.pretrain`: a resumed run is
+    bit-identical at the same seed, hyper-parameters, shard count,
+    execution mode and worker count (all validated).  While the run is
+    in progress block ``i`` lives in the shards
+    (``shard.model.blocks[i]``); ``stack.blocks[i]`` is its merge.
     """
     if not isinstance(stack, (StackedAutoencoder, DeepBeliefNetwork)):
         raise ConfigurationError(
@@ -174,6 +171,6 @@ def sharded_pretrain(
     plan = _ShardedCascade(stack, n_shards, exchange_every)
     stack._cascade(
         plan, x, engine=engine, checkpoint=checkpoint, resume_from=resume_from,
-        callbacks=callbacks, callback=callback,
+        callbacks=callbacks,
     )
     return plan.shards

@@ -25,7 +25,7 @@ the same seed and worker count — the invariant enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,10 +113,6 @@ class _Cascade:
         return [
             m._block_transform(m.blocks[index], x) for m, x in zip(self.models, inputs)
         ]
-
-    def trained(self, index: int):
-        """What ``callback`` receives for block ``index``."""
-        return self.stack.blocks[index]
 
     def finish(self) -> None:
         pass
@@ -218,7 +214,6 @@ class _GreedyStack:
     def pretrain(
         self,
         x: np.ndarray,
-        callback: Optional[Callable[[int, object, List[float]], None]] = None,
         engine=None,
         checkpoint=None,
         resume_from=None,
@@ -232,16 +227,16 @@ class _GreedyStack:
     ) -> "_GreedyStack":
         """Run the greedy layer-wise procedure of paper Fig. 1.
 
-        ``callback(layer_index, block, per_epoch_errors)`` fires after each
-        block finishes, letting callers monitor the cascade.
-
         ``callbacks`` — ``None``, a single
         :class:`~repro.train.callbacks.TrainingCallback`, or a sequence —
-        receives the unified loop's structured events
-        (:class:`~repro.train.events.UpdateEvent` per parameter update,
-        :class:`~repro.train.events.EpochEvent` per epoch,
-        :class:`~repro.train.events.LayerEvent` per completed block) on
-        the serial and parallel paths alike.  An
+        is the one way to watch the run: it receives the unified loop's
+        structured events (:class:`~repro.train.events.UpdateEvent` per
+        parameter update, :class:`~repro.train.events.EpochEvent` per
+        epoch, :class:`~repro.train.events.LayerEvent` per completed
+        block, in block order) on the serial, parallel and pipelined
+        paths alike.  A ``LayerEvent`` for layer ``i`` names
+        ``stack.blocks[i]``; its ``metric`` is the last of the per-epoch
+        errors the run leaves in ``stack.layer_errors[i]``.  An
         :class:`~repro.train.callbacks.EarlyStopping` stop request ends
         the *current block's* remaining epochs; the cascade then moves on
         to the next block.  Checkpointed runs persist the event log and
@@ -272,9 +267,7 @@ class _GreedyStack:
         store (its newest snapshot) — restores that state and continues.  The resumed
         run is **bit-identical** to the uninterrupted one provided the
         stack hyper-parameters, seed, execution mode, and worker count
-        match (all four are validated).  For a block that was checkpointed
-        complete but whose ``callback`` may already have fired before the
-        crash, the callback fires again on resume.
+        match (all four are validated).
 
         ``strategy`` — ``"greedy"`` (the sequential cascade above) or
         ``"pipelined"`` (Santara et al.: every layer trains concurrently
@@ -311,7 +304,6 @@ class _GreedyStack:
                 )
             return self._pretrain_pipelined(
                 x,
-                callback=callback,
                 checkpoint=checkpoint,
                 resume_from=resume_from,
                 callbacks=callbacks,
@@ -337,7 +329,6 @@ class _GreedyStack:
             checkpoint=checkpoint,
             resume_from=resume_from,
             callbacks=callbacks,
-            callback=callback,
             chunks=chunks,
         )
         return self
@@ -351,7 +342,6 @@ class _GreedyStack:
         checkpoint,
         resume_from,
         callbacks,
-        callback,
         chunks=None,
     ) -> None:
         """The one greedy block loop: block i trains on the output of
@@ -428,8 +418,6 @@ class _GreedyStack:
             )
             self.layer_errors.append(errors)
             loop.end_layer(i, errors[-1] if errors else float("nan"))
-            if callback is not None:
-                callback(i, plan.trained(i), errors)
             # The output dataset of this block becomes the next training set
             # (paper: "the output dataset is then used as the input training
             # set of the second Autoencoder"); the last block's has no reader.
@@ -442,7 +430,6 @@ class _GreedyStack:
         self,
         x: np.ndarray,
         *,
-        callback,
         checkpoint,
         resume_from,
         callbacks,
@@ -479,14 +466,15 @@ class _GreedyStack:
             for i in range(n_layers)
         ]
         try:
-            start_epoch, buffers, metrics, event_logs = 0, None, None, None
+            start_epoch, buffers, event_logs = 0, None, None
             if resume_from is not None:
-                start_epoch, buffers, metrics, event_logs = self._restore_pipelined(
+                start_epoch, buffers, event_logs = self._restore_pipelined(
                     resume_from, rngs, engines, engine_mode
                 )
             else:
                 # Same generator layout as greedy (block i inits from
                 # rngs[2i]), so stage 0 is bit-identical to greedy block 0.
+                self.layer_errors = [[] for _ in self.layer_specs]
                 self.blocks = []
                 for i, spec in enumerate(self.layer_specs):
                     self.blocks.append(
@@ -526,11 +514,13 @@ class _GreedyStack:
                     store, epochs_done, pretrainer, rngs, engines,
                     engine_mode, checkpoint_every,
                 )
-            metrics = pretrainer.run(
+            # The stages extend layer_errors in place, so a block's errors
+            # are complete when its layer event fires.
+            pretrainer.run(
                 x,
                 start_epoch=start_epoch,
                 buffers=buffers,
-                metrics=metrics,
+                metrics=self.layer_errors,
                 event_logs=event_logs,
                 on_snapshot=on_snapshot,
             )
@@ -538,10 +528,6 @@ class _GreedyStack:
             for eng in engines:
                 if eng is not None:
                     eng.close()
-        self.layer_errors = [list(m) for m in metrics]
-        if callback is not None:
-            for i, block in enumerate(self.blocks):
-                callback(i, block, self.layer_errors[i])
         return self
 
     def _save_pipelined_checkpoint(
@@ -588,8 +574,9 @@ class _GreedyStack:
     def _restore_pipelined(
         self, resume_from, rngs, engines, engine_mode: str
     ):
-        """Rebuild every stage's state from a pipelined snapshot; returns
-        ``(start_epoch, buffers, metrics, event_logs)``."""
+        """Rebuild every stage's state from a pipelined snapshot (its
+        errors into ``layer_errors``); returns ``(start_epoch, buffers,
+        event_logs)``."""
         header, arrays = self._read_snapshot(resume_from, "pipelined")
         strategy = header["strategy"]
         for key, value in (("sync", "synchronized"), ("engine_mode", engine_mode)):
@@ -616,13 +603,12 @@ class _GreedyStack:
         buffers = [None] + [
             arrays[f"pipebuf_{k}"] for k in range(1, len(self.layer_specs))
         ]
-        metrics = [[float(v) for v in m] for m in header["metrics"]]
         event_logs = [
             EventLog.from_array(arrays.get(f"evlog_{k}"))
             for k in range(len(self.layer_specs))
         ]
-        self.layer_errors = [list(m) for m in metrics]
-        return int(header["epochs_done"]), buffers, metrics, event_logs
+        self.layer_errors = [[float(v) for v in m] for m in header["metrics"]]
+        return int(header["epochs_done"]), buffers, event_logs
 
     def sample_dropout_masks(
         self, dropout: float, rng=None

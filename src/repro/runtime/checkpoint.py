@@ -246,12 +246,14 @@ class CheckpointStore:
         return top
 
     def _seq_of(self, path: Path) -> Optional[int]:
+        """The sequence number of one of this store's snapshots, else
+        ``None``; the prefix may itself contain ``-``."""
+        head = f"{self.prefix}-"
         stem = path.name[: -len(".npz")]
-        parts = stem.split("-")
-        if len(parts) < 2 or parts[0] != self.prefix:
+        if not stem.startswith(head):
             return None
         try:
-            return int(parts[1])
+            return int(stem[len(head):].split("-", 1)[0])
         except ValueError:
             return None
 

@@ -62,11 +62,12 @@ GIL_AUDIT = (
     },
     {
         "module": "repro.runtime.threads",
-        "symbol": "blas_thread_limit (env-var fallback)",
+        "symbol": "blas_env_limit",
         "risk": "needs-work",
         "note": (
-            "Without threadpoolctl the fallback mutates os.environ "
-            "process-wide; two engines opening concurrently on different "
+            "Mutates os.environ process-wide: blas_thread_limit's fallback "
+            "without threadpoolctl, and the process engine around "
+            "Process.start(). Two engines opening concurrently on different "
             "threads race on the save/restore. Benign today (engines are "
             "opened from one coordinator thread); a free-threaded build "
             "should route through threadpoolctl or take a module lock."

@@ -66,7 +66,6 @@ import os
 import pickle
 import traceback
 import uuid
-from contextlib import contextmanager
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,8 +80,8 @@ from repro.runtime.executor import (
     _ShardPlan,
 )
 from repro.runtime.threads import (
-    BLAS_ENV_VARS,
     available_cores,
+    blas_env_limit,
     blas_thread_limit,
 )
 from repro.runtime.workspace import Workspace
@@ -280,33 +279,6 @@ class _SharedPlan(_ShardPlan):
         ]
 
 
-@contextmanager
-def _pinned_blas_env(limit: Optional[int]):
-    """Pin the BLAS env knobs while spawning workers (restored after).
-
-    Spawn-method children import NumPy fresh, so the variables must be in
-    the environment *before* ``Process.start()``; fork children inherit
-    the parent's already-initialised pools and rely on the worker-side
-    :func:`blas_thread_limit` (a no-op without threadpoolctl — pin the
-    env before the first ``import numpy``, as ``benchmarks/`` does, to
-    cover that case).
-    """
-    if limit is None:
-        yield
-        return
-    saved = {var: os.environ.get(var) for var in BLAS_ENV_VARS}
-    for var in BLAS_ENV_VARS:
-        os.environ[var] = str(int(limit))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 class ProcessGradientEngine(ParallelGradientEngine):
     """Data-parallel gradient execution across W slot-bound worker *processes*.
 
@@ -379,7 +351,12 @@ class ProcessGradientEngine(ParallelGradientEngine):
                 resource_tracker.ensure_running()
             except Exception:  # pragma: no cover - platform dependent
                 pass
-            with _pinned_blas_env(
+            # Spawned workers import NumPy fresh, so the BLAS env knobs
+            # must be set before Process.start().  Forked workers inherit
+            # the parent's initialised pools, which the worker-side
+            # blas_thread_limit caps only with threadpoolctl (else pin the
+            # env before the first ``import numpy``, as benchmarks/ does).
+            with blas_env_limit(
                 self.blas_threads if isinstance(self.blas_threads, int) else None
             ):
                 for i in range(self.n_workers):

@@ -84,9 +84,25 @@ def blas_thread_limit(limit: Optional[int]) -> Iterator[None]:
         with _threadpool_limits(limits=limit):
             yield
         return
+    with blas_env_limit(limit):
+        yield
+
+
+@contextmanager
+def blas_env_limit(limit: Optional[int]) -> Iterator[None]:
+    """Set every :data:`BLAS_ENV_VARS` knob to ``limit`` inside the block
+    and restore the previous values (absent stays absent) on exit.
+
+    ``None`` is a no-op.  Only BLAS pools created inside the block see the
+    cap: the fallback of :func:`blas_thread_limit`, and the process
+    engine's worker start (a spawned child imports NumPy fresh).
+    """
+    if limit is None:
+        yield
+        return
     saved = {var: os.environ.get(var) for var in BLAS_ENV_VARS}
     for var in BLAS_ENV_VARS:
-        os.environ[var] = str(limit)
+        os.environ[var] = str(int(limit))
     try:
         yield
     finally:

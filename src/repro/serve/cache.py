@@ -40,15 +40,19 @@ def payload_bytes(payload: np.ndarray) -> bytes:
 
 
 class FeatureCache:
-    """Bounded LRU cache from input vectors to forward-pass outputs."""
+    """Bounded LRU cache from input vectors to forward-pass outputs.
+
+    The cache counts only what happens inside it, its ``evictions``.
+    Hits and misses are counted once, by the caller that looked up:
+    :class:`~repro.serve.engine.ServingEngine` adds each lookup to its
+    ``metrics.cache_hits`` or ``metrics.cache_misses``.
+    """
 
     def __init__(self, max_entries: int = 4096):
         if max_entries < 1:
             raise ConfigurationError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def get(self, payload: np.ndarray) -> Optional[np.ndarray]:
@@ -62,11 +66,8 @@ class FeatureCache:
     def lookup(self, key: bytes) -> Optional[np.ndarray]:
         """:meth:`get` by the payload's :func:`payload_bytes`."""
         value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if value is not None:
+            self._entries.move_to_end(key)
         return value
 
     def store(self, key: bytes, value: np.ndarray) -> None:
@@ -77,11 +78,6 @@ class FeatureCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -91,5 +87,5 @@ class FeatureCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FeatureCache(entries={len(self)}/{self.max_entries}, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"evictions={self.evictions})"
         )

@@ -297,6 +297,4 @@ class ServingEngine:
                         self._key_prefix + request.payload.tobytes(), request.result
                     )
                 completed.append(request)
-        if self.cache is not None:
-            self.metrics.on_evictions(self.cache.evictions)
         return completed

@@ -4,8 +4,11 @@ Throughput numbers without tail latencies hide exactly the effect
 micro-batching trades on — a batch that waits ``max_wait_s`` for
 companions buys device efficiency with every rider's p99.  The metrics
 layer therefore records full latency distributions (queue wait, service
-time, end-to-end) plus batch-size and queue-depth observations, and
-renders everything as :mod:`repro.bench.report` rows.
+time, end-to-end) plus batch-size and queue-depth observations.  Each
+event is counted once, where it happens: a dispatched batch is one entry
+of ``batch_sizes``, a cache lookup one hit or miss, and the cache's own
+``evictions`` counter (:class:`~repro.serve.cache.FeatureCache`) is the
+only eviction count.  Reports build their rows from these fields.
 
 All state is plain Python — deterministic, no wall clock — so two
 identical simulated runs produce bit-identical metrics.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -152,28 +155,17 @@ class ServingMetrics:
         self.cancelled = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_evictions = 0
-        self.batches = 0
-        self.batch_sizes: List[int] = []
+        self.batch_sizes: List[int] = []  # one entry per dispatched batch
         self.max_queue_depth = 0
         self.wait = LatencyHistogram()
         self.service = LatencyHistogram()
         self.latency = LatencyHistogram()
 
     # ------------------------------------------------------------------
-    def on_evictions(self, total: int) -> None:
-        """Record the cache's cumulative eviction count (a gauge)."""
-        if total < self.cache_evictions:
-            raise ConfigurationError(
-                f"eviction gauge cannot decrease ({self.cache_evictions} -> {total})"
-            )
-        self.cache_evictions = int(total)
-
     def on_queue_depth(self, depth: int) -> None:
         self.max_queue_depth = max(self.max_queue_depth, depth)
 
     def on_batch(self, size: int) -> None:
-        self.batches += 1
         self.batch_sizes.append(int(size))
 
     def on_served(self, wait_s: float, service_s: float, latency_s: float) -> None:
@@ -192,24 +184,3 @@ class ServingMetrics:
         """Hit fraction over all cache lookups (0.0 when the cache is cold)."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Counter + percentile rows for :func:`repro.bench.report.format_table`."""
-        return [
-            {"metric": "requests_received", "value": self.received},
-            {"metric": "requests_served", "value": self.served},
-            {"metric": "requests_rejected", "value": self.rejected},
-            {"metric": "requests_cancelled", "value": self.cancelled},
-            {"metric": "cache_hits", "value": self.cache_hits},
-            {"metric": "cache_misses", "value": self.cache_misses},
-            {"metric": "cache_hit_rate", "value": self.cache_hit_rate},
-            {"metric": "cache_evictions", "value": self.cache_evictions},
-            {"metric": "batches_dispatched", "value": self.batches},
-            {"metric": "mean_batch_size", "value": self.mean_batch_size},
-            {"metric": "max_queue_depth", "value": self.max_queue_depth},
-            {"metric": "wait_p50_s", "value": self.wait.percentile(50)},
-            {"metric": "service_p50_s", "value": self.service.percentile(50)},
-            {"metric": "latency_p50_s", "value": self.latency.percentile(50)},
-            {"metric": "latency_p95_s", "value": self.latency.percentile(95)},
-            {"metric": "latency_p99_s", "value": self.latency.percentile(99)},
-        ]

@@ -13,7 +13,9 @@ every stack in the repository:
 * :mod:`repro.train.callbacks` — :class:`History`,
   :class:`EarlyStopping`, :class:`ProgressLogger`, the composite
   :class:`CallbackList`;
-* :mod:`repro.train.batches` — the one copy of mini-batch shuffling;
+* :mod:`repro.train.batches` — the loop's mini-batch shuffling (five
+  paths outside the loop shuffle on their own; :mod:`repro.train.loop`
+  names them);
 * :mod:`repro.train.pipeline` — :class:`PipelinedPretrainer`: one
   :class:`TrainLoop` per layer running concurrently, connected by
   bounded :class:`ActivationQueue` hand-offs (Santara et al.'s

@@ -1,4 +1,4 @@
-"""Mini-batch shuffling and iteration — the one copy in the codebase.
+"""Mini-batch shuffling and iteration for :class:`~repro.train.loop.TrainLoop`.
 
 Before the :mod:`repro.train` refactor this logic existed twice with
 identical RNG semantics: ``repro.nn.stacked._minibatches`` and the
@@ -7,6 +7,10 @@ Both consumed **exactly one** ``Generator.permutation`` call per epoch
 and then took contiguous slices of the shuffled order, so collapsing
 them here is bit-preserving at any fixed seed (pinned by
 ``tests/train/test_batches.py``).
+
+Every path that trains through the loop shuffles here; the five paths
+outside it that draw their own ``permutation`` are named in
+:mod:`repro.train.loop`.
 """
 
 from __future__ import annotations

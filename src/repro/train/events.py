@@ -1,11 +1,12 @@
 """Structured training events: the vocabulary of the unified loop.
 
-Every training path in the repository — the functional stacks of
-:mod:`repro.nn`, the parallel-engine paths, and the simulated+functional
-trainers of :mod:`repro.core` — runs through the one
+The functional stacks of :mod:`repro.nn` (greedy, pipelined and
+sharded pre-training, fine-tuning), the parallel-engine paths, and the
+simulated+functional trainers of :mod:`repro.core` run through
 :class:`repro.train.loop.TrainLoop`, which emits these events to the
 registered callbacks after every parameter update, every epoch, and
-every completed layer of a greedy stack.
+every completed layer of a stack.  The callbacks are the one way to
+watch a training run.
 
 Determinism contract
 --------------------
@@ -48,14 +49,6 @@ class PhaseTimings:
     @property
     def total_s(self) -> float:
         return self.load_s + self.compute_s + self.reduce_s + self.apply_s
-
-    def __add__(self, other: "PhaseTimings") -> "PhaseTimings":
-        return PhaseTimings(
-            self.load_s + other.load_s,
-            self.compute_s + other.compute_s,
-            self.reduce_s + other.reduce_s,
-            self.apply_s + other.apply_s,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
-"""The one epoch/batch training loop (paper Fig. 5, executable).
+"""The epoch/batch training loop (paper Fig. 5, executable).
 
-Every training path in the repository runs through :class:`TrainLoop`:
-the functional greedy stacks and supervised fine-tuning of
-:mod:`repro.nn`, and the simulated+functional trainers of
+Greedy, pipelined and sharded pre-training and supervised fine-tuning
+(:mod:`repro.nn`), and the simulated+functional trainers of
 :mod:`repro.core` (which charge simulated machine time from the same
-loop events).  The loop owns:
+loop events), all run through :class:`TrainLoop`.  The loop owns:
 
 * epoch iteration and mini-batch shuffling (:mod:`repro.train.batches`
   — exactly one ``permutation`` draw per epoch);
@@ -23,8 +22,14 @@ plus the epoch metric and the simulated-time charge.  Every model in the
 repository trains through the one concrete step, :class:`ModelStep`,
 which runs any shard-protocol model on a gradient engine — a serial run
 is a W=1 engine whose only RNG stream is the run's shuffle generator.
-Steps are deliberately loop-free so a grep for ``permutation`` or
-``for epoch`` finds exactly one training loop in the codebase — this one.
+Steps are deliberately loop-free: the epoch loop and its shuffle live
+here, not in the models.  Five paths keep their own ``permutation``
+shuffle and do not run through this loop: the generic optimiser
+:meth:`repro.optim.sgd.SGD.minimize`,
+:meth:`repro.nn.denoising.DenoisingAutoencoder.fit_denoising`,
+:meth:`repro.nn.sparse_coding.SparseCoder.fit`, and the data helpers
+:meth:`repro.data.datasets.Dataset.minibatches` and
+:func:`repro.data.datasets.minibatch_indices`.
 
 Determinism: the loop draws RNG values in exactly the order the historic
 per-module loops did (one permutation per epoch, then whatever the
@@ -342,7 +347,6 @@ class TrainLoop:
         self.log = EventLog()
         self.step_count = 0
         self.simulated_seconds = 0.0
-        self.timings = PhaseTimings()  # cumulative per-phase wall seconds
 
     # ------------------------------------------------------------------
     # resume plumbing
@@ -463,7 +467,6 @@ class TrainLoop:
         timings = PhaseTimings(
             load_s=load_s, compute_s=t1 - t0, apply_s=t2 - t1
         )
-        self.timings = self.timings + timings
         event = UpdateEvent(
             self.step_count, epoch, float(loss), self.simulated_seconds,
             timings=timings,

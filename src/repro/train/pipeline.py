@@ -498,8 +498,6 @@ class PipelinedPretrainer:
                 out_q.push_done()
             if in_q is not None:
                 step.drain_through_done()
-            metric = stage_metrics[-1] if stage_metrics else float("nan")
-            loop.end_layer(k, metric)
         except BaseException as exc:  # noqa: BLE001 - must never die silently
             self._fail(k, exc)
 
@@ -519,10 +517,13 @@ class PipelinedPretrainer:
         """Train every stage for epochs ``start_epoch .. epochs``.
 
         ``buffers`` / ``metrics`` / ``event_logs`` carry restored
-        per-stage state when resuming; ``on_snapshot(epochs_done)`` is
-        invoked by the coordinator inside each checkpoint window (all
-        stages parked, all queues empty) and once more after a complete
-        run.  Returns the per-stage metric lists.
+        per-stage state when resuming; each stage extends its ``metrics``
+        list in place, a caller's lists included.
+        ``on_snapshot(epochs_done)`` is invoked by the coordinator inside
+        each checkpoint window (all stages parked, all queues empty) and
+        once more after a complete run.  Once every stage has finished,
+        each stage's :class:`~repro.train.events.LayerEvent` fires, in
+        stack order.  Returns the per-stage metric lists.
         """
         if self._started:
             raise ConfigurationError("a PipelinedPretrainer runs only once")
@@ -551,9 +552,7 @@ class PipelinedPretrainer:
             else:
                 self.buffers.append(np.zeros((n, width), dtype=np.float64))
         self.metrics = (
-            [list(m) for m in metrics]
-            if metrics is not None
-            else [[] for _ in range(n_stages)]
+            list(metrics) if metrics is not None else [[] for _ in range(n_stages)]
         )
         if len(self.metrics) != n_stages:
             raise ConfigurationError(
@@ -613,12 +612,10 @@ class PipelinedPretrainer:
         error = self._first_error()
         if error is not None:
             raise error
+        # Stages finish in any order; their layer events fire here, in
+        # stack order, before the final snapshot records them.
+        for k, (loop, stage_metrics) in enumerate(zip(self.loops, self.metrics)):
+            loop.end_layer(k, stage_metrics[-1] if stage_metrics else float("nan"))
         if snapshots and not self._stop.is_set():
             on_snapshot(self.epochs)
         return self.metrics
-
-    @property
-    def stopped_early(self) -> bool:
-        """True when a callback's stop request ended the run before
-        every stage completed all its epochs."""
-        return self._stop.is_set()

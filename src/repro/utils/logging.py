@@ -1,15 +1,16 @@
-"""Library logging: a namespaced logger plus a progress-reporting hook.
+"""Library logging: the namespaced ``repro`` logger.
 
 The library never configures the root logger; applications opt in with
-:func:`enable_console_logging`.
+:func:`enable_console_logging`.  Training progress is reported through
+the callback bus (:class:`repro.train.callbacks.ProgressLogger`), which
+logs to a child of this logger.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 LOGGER_NAME = "repro"
 
@@ -30,38 +31,3 @@ def enable_console_logging(level: int = logging.INFO) -> logging.Handler:
     logger.addHandler(handler)
     logger.setLevel(level)
     return handler
-
-
-class ProgressReporter:
-    """Throttled progress callback used by the trainers.
-
-    ``callback`` receives ``(step, total, message)``; by default it logs.
-    Reports at most once per ``min_interval`` wall seconds so million-step
-    sweeps stay quiet.
-    """
-
-    def __init__(
-        self,
-        callback: Optional[Callable[[int, int, str], None]] = None,
-        min_interval: float = 1.0,
-    ):
-        self._callback = callback
-        self._min_interval = float(min_interval)
-        self._last_emit = -float("inf")
-
-    def report(self, step: int, total: int, message: str = "") -> bool:
-        """Emit a progress event if the throttle window has elapsed.
-
-        Returns True when the event was actually emitted (the final step is
-        always emitted).
-        """
-        now = time.monotonic()
-        final = step >= total
-        if not final and now - self._last_emit < self._min_interval:
-            return False
-        self._last_emit = now
-        if self._callback is not None:
-            self._callback(step, total, message)
-        else:
-            get_logger("progress").info("[%d/%d] %s", step, total, message)
-        return True

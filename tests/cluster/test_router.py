@@ -1,6 +1,8 @@
 """Tests for repro.cluster.router — policies, spillover, hedging, fail-over."""
 
+import gc
 import math
+import weakref
 from bisect import bisect_left
 
 import numpy as np
@@ -461,10 +463,15 @@ class TestSwapAndScaling:
         assert set(done) == set(creqs)  # queued work still completes
         assert all(r.id == 0 for r in router.replicas)
 
-    def test_snapshots_cover_retired_members(self, servable):
-        router = make_router(servable, n=2)
-        router.remove_replica(0.0)
-        router.poll(0.0)
-        snaps = router.snapshots()
-        assert [s["replica"] for s in snaps] == [0, 1]
-        assert snaps[1]["retiring"] is True
+    def test_reaped_replica_is_released(self, servable):
+        """Once reaped, nothing in the router holds the replica, so its
+        engine, cache and latency samples can be collected."""
+        router = make_router(servable, n=2, policy=RoundRobinPolicy())
+        for i in range(4):
+            router.submit(payload(i), 0.0)
+        retiree = weakref.ref(router.replicas[1])
+        assert router.remove_replica(0.0) == 1
+        drain(router, until=0.2)
+        assert [r.id for r in router.replicas] == [0]
+        gc.collect()
+        assert retiree() is None

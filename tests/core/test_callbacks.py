@@ -1,10 +1,16 @@
-"""Tests for repro.core.callbacks and their wiring into the trainers."""
+"""Tests for the repro.train callbacks and their wiring into the repro.core trainers."""
 
 import numpy as np
 import pytest
 
 from repro.core.ae_trainer import SparseAutoencoderTrainer
-from repro.core.callbacks import (
+from repro.core.config import TrainingConfig
+from repro.core.finetune_trainer import FinetuneTrainer
+from repro.core.rbm_trainer import RBMTrainer
+from repro.data.synth_digits import digit_dataset
+from repro.errors import ConfigurationError
+from repro.phi.spec import XEON_PHI_5110P
+from repro.train import (
     CallbackList,
     EarlyStopping,
     EpochEvent,
@@ -14,12 +20,6 @@ from repro.core.callbacks import (
     UpdateEvent,
     as_callback_list,
 )
-from repro.core.config import TrainingConfig
-from repro.core.finetune_trainer import FinetuneTrainer
-from repro.core.rbm_trainer import RBMTrainer
-from repro.data.synth_digits import digit_dataset
-from repro.errors import ConfigurationError
-from repro.phi.spec import XEON_PHI_5110P
 
 
 def config(**overrides):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.ae_trainer import SparseAutoencoderTrainer
-from repro.core.callbacks import EarlyStopping, History
 from repro.core.config import TrainingConfig
 from repro.data.datasets import train_test_split
 from repro.data.mnist_io import export_synthetic_digits, load_image_label_pair
@@ -19,6 +18,7 @@ from repro.nn.mlp import DeepNetwork
 from repro.phi.energy import energy_for_run
 from repro.phi.spec import XEON_PHI_5110P
 from repro.runtime.autotune import autotune_training_config
+from repro.train import EarlyStopping, History
 from repro.utils.serialization import load_model, save_model
 
 

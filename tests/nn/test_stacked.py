@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.rbm import RBM
+from repro.nn.sharded import sharded_pretrain
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
+from repro.train import TrainingCallback
 
 
 class TestLayerSpec:
@@ -73,12 +75,27 @@ class TestStackedAutoencoder:
         stack = StackedAutoencoder(25, self._specs(), seed=0).pretrain(digits_25)
         assert stack.reconstruct(digits_25).shape == digits_25.shape
 
-    def test_callback_fires_per_layer(self, digits_25):
-        seen = []
-        StackedAutoencoder(25, self._specs(), seed=0).pretrain(
-            digits_25, callback=lambda i, block, errs: seen.append(i)
-        )
-        assert seen == [0, 1]
+    @pytest.mark.parametrize("strategy", ["greedy", "pipelined", "sharded"])
+    def test_on_layer_sees_every_block_in_order(self, digits_25, strategy):
+        stack = StackedAutoencoder(25, self._specs(), seed=0)
+
+        class LayerWatch(TrainingCallback):
+            def __init__(self):
+                self.seen = []
+
+            def on_layer(self, event):
+                # the block's errors are complete when its event fires
+                last = stack.layer_errors[event.layer][-1]
+                self.seen.append((event.layer, event.metric, last))
+
+        watch = LayerWatch()
+        if strategy == "sharded":
+            sharded_pretrain(stack, digits_25, 2, callbacks=watch)
+        else:
+            stack.pretrain(digits_25, strategy=strategy, callbacks=watch)
+        assert watch.seen == [
+            (i, errors[-1], errors[-1]) for i, errors in enumerate(stack.layer_errors)
+        ]
 
     def test_seed_reproducible(self, digits_25):
         a = StackedAutoencoder(25, self._specs(), seed=5).pretrain(digits_25)

@@ -14,8 +14,7 @@ class TestFeatureCache:
         assert cache.get(x) is None
         cache.put(x, np.array([9.0]))
         np.testing.assert_array_equal(cache.get(x), [9.0])
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
+        assert len(cache) == 1 and cache.evictions == 0
 
     def test_exact_bytes_keying(self):
         cache = FeatureCache()
@@ -36,7 +35,7 @@ class TestFeatureCache:
         np.testing.assert_array_equal(cache.get(x), [7.0])
         cache.put(x, np.array([8.0]))
         np.testing.assert_array_equal(cache.lookup(payload_bytes(x)), [8.0])
-        assert len(cache) == 1 and cache.hits == 2
+        assert len(cache) == 1 and cache.evictions == 0
 
     def test_shape_distinguished(self):
         cache = FeatureCache()

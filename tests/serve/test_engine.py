@@ -138,10 +138,10 @@ class TestServingEngine:
         engine.submit(rng.random(25), now=0.0)
         engine.poll(0.0)
         # Only one batch in flight; the second waits for the worker.
-        assert engine.metrics.batches == 1
+        assert len(engine.metrics.batch_sizes) == 1
         assert engine.next_event_time() == pytest.approx(0.011)
         engine.poll(0.011)
-        assert engine.metrics.batches == 2
+        assert len(engine.metrics.batch_sizes) == 2
 
     def test_two_workers_run_batches_concurrently(self, servable, rng):
         engine = make_engine(
@@ -150,7 +150,7 @@ class TestServingEngine:
         engine.submit(rng.random(25), now=0.0)
         engine.submit(rng.random(25), now=0.0)
         engine.poll(0.0)
-        assert engine.metrics.batches == 2
+        assert len(engine.metrics.batch_sizes) == 2
 
     def test_cache_hit_completes_immediately(self, servable):
         cache = FeatureCache()
@@ -208,7 +208,7 @@ class TestServingEngine:
         engine.submit(payload, now=2.0)
         assert engine.metrics.cache_hit_rate == pytest.approx(0.5)
 
-    def test_cache_evictions_surface_in_metrics(self, servable, rng):
+    def test_cache_counts_its_evictions(self, servable, rng):
         engine = make_engine(
             servable, policy=BatchPolicy(max_batch_size=4, max_wait_s=0.0),
             cache=FeatureCache(max_entries=2),
@@ -217,7 +217,8 @@ class TestServingEngine:
             engine.submit(rng.random(25), now=0.0)
         engine.poll(0.0)
         engine.poll(1.0)  # retiring 4 distinct entries evicts 2
-        assert engine.metrics.cache_evictions == 2
+        assert engine.cache.evictions == 2
+        assert engine.metrics.cache_misses == 4
 
     def test_cancel_withdraws_queued_request(self, servable, rng):
         engine = make_engine(

@@ -194,6 +194,7 @@ class TestServingMetrics:
         metrics = ServingMetrics()
         metrics.received += 2
         metrics.rejected += 1
+        metrics.cancelled += 2
         metrics.on_batch(4)
         metrics.on_batch(2)
         metrics.on_served(0.001, 0.002, 0.003)
@@ -201,44 +202,40 @@ class TestServingMetrics:
         metrics.on_queue_depth(3)
         assert metrics.received == 2
         assert metrics.rejected == 1
+        assert metrics.cancelled == 2
         assert metrics.served == 1
+        assert metrics.batch_sizes == [4, 2]  # one entry per dispatched batch
         assert metrics.mean_batch_size == pytest.approx(3.0)
         assert metrics.max_queue_depth == 7
 
-    def test_rows_render_as_table(self):
-        from repro.bench.report import format_table
+    def test_cancelled_counter_in_rows(self):
+        # A withdrawn request is counted as cancelled, never as served or
+        # rejected, and leaves the latency histograms empty.
+        metrics = ServingMetrics()
+        assert metrics.cancelled == 0
+        metrics.received += 2
+        metrics.cancelled += 2
+        assert metrics.cancelled == 2
+        assert metrics.served == 0
+        assert metrics.rejected == 0
+        assert metrics.latency.count == 0
 
+    def test_served_request_reaches_every_histogram(self):
         metrics = ServingMetrics()
         metrics.received += 1
         metrics.on_served(0.001, 0.002, 0.003)
-        text = format_table(metrics.rows(), title="serving")
-        assert "latency_p99_s" in text
-        assert "requests_served" in text
+        assert metrics.served == 1
+        assert metrics.wait.percentile(50) == 0.001
+        assert metrics.service.percentile(50) == 0.002
+        assert metrics.latency.percentile(99) == 0.003
 
-    def test_cache_accounting_in_rows(self):
+    def test_cache_accounting(self):
         metrics = ServingMetrics()
         metrics.cache_hits += 1
         metrics.cache_misses += 3
-        metrics.on_evictions(5)
-        by_name = {row["metric"]: row["value"] for row in metrics.rows()}
-        assert by_name["cache_hits"] == 1
-        assert by_name["cache_misses"] == 3
-        assert by_name["cache_hit_rate"] == pytest.approx(0.25)
-        assert by_name["cache_evictions"] == 5
+        assert metrics.cache_hits == 1
+        assert metrics.cache_misses == 3
+        assert metrics.cache_hit_rate == pytest.approx(0.25)
 
     def test_cold_cache_hit_rate_is_zero(self):
         assert ServingMetrics().cache_hit_rate == 0.0
-
-    def test_eviction_gauge_monotone(self):
-        metrics = ServingMetrics()
-        metrics.on_evictions(3)
-        metrics.on_evictions(3)  # no change is fine
-        metrics.on_evictions(7)
-        with pytest.raises(ConfigurationError, match="cannot decrease"):
-            metrics.on_evictions(2)
-
-    def test_cancelled_counter_in_rows(self):
-        metrics = ServingMetrics()
-        metrics.cancelled += 2
-        by_name = {row["metric"]: row["value"] for row in metrics.rows()}
-        assert by_name["requests_cancelled"] == 2

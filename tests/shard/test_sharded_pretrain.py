@@ -128,19 +128,17 @@ class TestReplicatedBias:
 
     @staticmethod
     def _first_block_biases(kind, x, exchange_every):
+        """Each shard's copy of the bias right after block 0's last update
+        (and exchange): on a one-block stack nothing trains after block 0,
+        so the returned shards hold it exactly as that update left it."""
+        one_block = SPECS[:1]
         stack, data, name = (
-            (_sae(), x, "b2") if kind == "sae"
-            else (_dbn(), (x > 0.5).astype(np.float64), "b")
+            (StackedAutoencoder(12, one_block, seed=5), x, "b2") if kind == "sae"
+            else (DeepBeliefNetwork(12, one_block, cd_k=1, seed=5),
+                  (x > 0.5).astype(np.float64), "b")
         )
-        seen = {}
-
-        def callback(i, blocks, _errors):
-            if i == 0:  # right after block 0's last update (and exchange)
-                seen["biases"] = [getattr(b, name).copy() for b in blocks]
-
-        sharded_pretrain(stack, data, 2, exchange_every=exchange_every,
-                         callback=callback)
-        return seen["biases"]
+        shards = sharded_pretrain(stack, data, 2, exchange_every=exchange_every)
+        return [getattr(shard.model.blocks[0], name) for shard in shards]
 
     def test_no_parameter_is_shared(self, x):
         stack = _sae()

@@ -213,11 +213,6 @@ class TestEvents:
         # At least one stage got cut short.
         assert any(len(errs) < 4 for errs in stack.layer_errors)
 
-    def test_per_block_callback_fires_in_order(self, x):
-        seen = []
-        _sae(x, strategy="pipelined", callback=lambda i, b, e: seen.append(i))
-        assert seen == [0, 1]
-
 
 class TestActivationQueueUnit:
     def test_pop_after_producer_failure_is_typed(self):

@@ -1,8 +1,8 @@
-"""Tests for repro.utils.logging — namespaced logger and progress throttle."""
+"""Tests for repro.utils.logging — the namespaced logger."""
 
 import logging
 
-from repro.utils.logging import ProgressReporter, enable_console_logging, get_logger
+from repro.utils.logging import enable_console_logging, get_logger
 
 
 class TestGetLogger:
@@ -21,32 +21,3 @@ class TestGetLogger:
         finally:
             logger.removeHandler(handler)
             assert logger.handlers == before
-
-
-class TestProgressReporter:
-    def test_callback_receives_events(self):
-        events = []
-        reporter = ProgressReporter(lambda s, t, m: events.append((s, t, m)), min_interval=0.0)
-        assert reporter.report(1, 10, "step")
-        assert events == [(1, 10, "step")]
-
-    def test_throttling_suppresses_rapid_events(self):
-        events = []
-        reporter = ProgressReporter(lambda s, t, m: events.append(s), min_interval=3600)
-        reporter.report(1, 10)
-        reporter.report(2, 10)
-        reporter.report(3, 10)
-        assert events == [1]  # only the first got through
-
-    def test_final_step_always_emits(self):
-        events = []
-        reporter = ProgressReporter(lambda s, t, m: events.append(s), min_interval=3600)
-        reporter.report(1, 10)
-        assert reporter.report(10, 10)
-        assert events == [1, 10]
-
-    def test_default_logs_without_error(self, caplog):
-        reporter = ProgressReporter(min_interval=0.0)
-        with caplog.at_level(logging.INFO, logger="repro.progress"):
-            reporter.report(5, 5, "done")
-        assert any("5/5" in r.message for r in caplog.records)

@@ -48,6 +48,32 @@ class TestReplay:
         assert report.latency_p50_s <= report.latency_p95_s <= report.latency_p99_s
         assert report.fingerprint == trace.fingerprint()
 
+    def test_engine_counts_each_event_once(self, servable):
+        """After a drained replay through a cached engine with no
+        cancellations, every request is one lookup and ends served or
+        rejected, and the cache's own counter is the eviction count."""
+
+        class CountingCache(FeatureCache):
+            added = 0  # stores of a key the cache did not hold
+
+            def store(self, key, value):
+                self.added += self.lookup(key) is None
+                super().store(key, value)
+
+        cache = CountingCache(max_entries=16)
+        engine = make_engine(servable, queue_depth=8, cache=cache)
+        report = TraceReplayer(
+            engine, poisson_trace(seed=3, rate=8000.0, duration=0.2)
+        ).run()
+        m = engine.metrics
+        assert engine.outstanding == 0 and m.cancelled == 0
+        assert report.offered == m.received
+        assert m.cache_hits + m.cache_misses == m.received
+        assert m.cache_hits + sum(m.batch_sizes) == m.served
+        assert m.received == m.served + m.rejected
+        assert cache.evictions == cache.added - len(cache)
+        assert min(m.cache_hits, m.cache_misses, m.rejected, cache.evictions) > 0
+
     def test_bit_identical_across_runs(self, servable, small_ae):
         trace = poisson_trace(seed=42)
         first = TraceReplayer(make_engine(servable), trace).run()
