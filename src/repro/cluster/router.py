@@ -10,6 +10,13 @@ owns every cross-replica decision:
   backpressure signal), :class:`ConsistentHashPolicy` (payload-keyed, so
   repeated inputs land on the same replica and its private
   :class:`~repro.serve.cache.FeatureCache` actually accumulates hits);
+* **routing keys** — one stable digest, :func:`_stable_hash` (CRC-32
+  finished by a 32-bit mix), places the vnode ring, the shards of
+  :mod:`repro.cluster.shardrouter` and every request.  A request's key
+  continues the CRC of the fixed shape/dtype prefix over the validated
+  payload's own buffer, so the request path builds no key bytes.  Keys
+  are 32-bit and only the ring's bisect reads them: two payloads that
+  collide merely share a replica;
 * **spillover + shedding** — a replica whose admission control rejects a
   request (bounded queue) is skipped and the next candidate tried; only
   when *every* routable replica rejects is the request shed;
@@ -32,8 +39,8 @@ routing decision, hedge, and latency number.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,9 +63,21 @@ ROUTER_DISPATCH_SITE = register_fault_site(
 )
 
 
-def _stable_hash(data: bytes) -> int:
-    """64-bit digest that is stable across processes (unlike ``hash``)."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+def _stable_hash(data, crc: int = 0) -> int:
+    """32-bit digest of the bytes of ``data`` that is stable across
+    processes (unlike ``hash``): their CRC-32, continued from ``crc``,
+    finished by murmur3's ``fmix32``.
+
+    CRC-32 is linear over GF(2), and raw CRC keys and vnodes load ring
+    arcs unevenly; the mix, a bijection on 32-bit words, evens the load
+    without adding collisions.  ``crc`` chains a digest: with
+    ``crc = zlib.crc32(head)``, ``_stable_hash(tail, crc)`` equals
+    ``_stable_hash(head + tail)``.  ``data`` is any C-contiguous buffer.
+    """
+    h = zlib.crc32(data, crc)
+    h = ((h ^ (h >> 16)) * 0x85EBCA6B) & 0xFFFFFFFF
+    h = ((h ^ (h >> 13)) * 0xC2B2AE35) & 0xFFFFFFFF
+    return h ^ (h >> 16)
 
 
 def vnode_ring(ids: Sequence[int], n_vnodes: int) -> Tuple[List[int], List[int]]:
@@ -77,8 +96,8 @@ def vnode_ring(ids: Sequence[int], n_vnodes: int) -> Tuple[List[int], List[int]]
 
 
 def payload_key(payload: np.ndarray) -> int:
-    """Routing key of a payload: a stable hash of its exact key bytes
-    (:func:`repro.serve.cache.payload_bytes`, the feature cache's key)."""
+    """Routing key of a payload: the 32-bit stable digest of its exact key
+    bytes (:func:`repro.serve.cache.payload_bytes`, the feature cache's key)."""
     return _stable_hash(payload_bytes(payload))
 
 
@@ -271,8 +290,9 @@ class Router:
         self._pending: Dict[int, ClusterRequest] = {}
         self._leg_index: Dict[Tuple[int, int], ClusterRequest] = {}
         # Validation fixes every payload's shape and dtype (and a swap
-        # keeps the input width), so the routing key's prefix is fixed too.
-        self._key_prefix = key_prefix((servable.n_inputs,), np.float64)
+        # keeps the input width), so the key bytes' prefix is fixed too:
+        # each request's digest continues from its CRC over the payload.
+        self._prefix_crc = zlib.crc32(key_prefix((servable.n_inputs,), np.float64))
         for _ in range(int(n_replicas)):
             self._spawn_replica()
 
@@ -307,7 +327,7 @@ class Router:
     # -- request path ----------------------------------------------------
     def submit(self, payload: np.ndarray, now: float) -> Optional[ClusterRequest]:
         """Route one request at ``now``; ``None`` means the cluster shed it."""
-        payload = np.asarray(payload, dtype=np.float64)
+        payload = np.asarray(payload, dtype=np.float64, order="C")
         if payload.ndim != 1 or payload.shape[0] != self._servable.n_inputs:
             raise ServingError(
                 f"payload must be a 1-D vector of {self._servable.n_inputs} "
@@ -316,7 +336,7 @@ class Router:
         self.metrics.received += 1
         creq = ClusterRequest(
             id=next(self._ids),
-            key=_stable_hash(self._key_prefix + payload.tobytes()),
+            key=_stable_hash(payload, self._prefix_crc),
             payload=payload,
             arrival_s=now,
         )

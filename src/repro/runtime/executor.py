@@ -242,6 +242,8 @@ class ParallelGradientEngine:
         self._plans: Dict[int, _ShardPlan] = {}
         self._closed = False
         self.n_steps = 0
+        #: wall seconds the last :meth:`gradients` call spent reducing
+        self.last_reduce_s = 0.0
         self._start()
 
     # ------------------------------------------------------------------
@@ -354,7 +356,9 @@ class ParallelGradientEngine:
         on the model overwrites.  A single shard writes those result
         arrays itself and there is nothing to reduce (the process engine
         still parks it in shared memory first).  ``options`` reach every
-        ``shard_gradients`` call.
+        ``shard_gradients`` call.  The wall seconds of the call's reduces,
+        the prepass one included, are left in :attr:`last_reduce_s`
+        (0.0 when a lone shard wrote the result arrays itself).
         """
         self._check_open()
         plan = self._plans.get(id(model))
@@ -364,6 +368,7 @@ class ParallelGradientEngine:
         m = batch[0].shape[0]
         staged = self._stage(plan, batch)
         grads = plan.acc if out is None else out
+        reduce_s = 0.0
         if min(self.n_workers, m) == 1 and self._lone_shard_in_place:
             # One shard, on the calling thread, straight into the result
             # arrays: nothing to split, weigh or reduce.
@@ -378,12 +383,17 @@ class ParallelGradientEngine:
             pre = None
             if plan.pre is not None and k > 1:
                 self._run_prepass(plan, staged, shards)
+                t0 = time.perf_counter()
                 pre = self._reduce(plan.pre_outs[:k], weights, plan.pre)
+                reduce_s = time.perf_counter() - t0
             losses = self._run_shards(plan, staged, shards, pre, options)
             fault_point(SITE_ENGINE_REDUCE, kind=plan.kind)
+            t0 = time.perf_counter()
             loss = float(sum(w * l for w, l in zip(weights, losses)))
             for j, target in enumerate(grads):
                 self._reduce([slot[j] for slot in plan.outs[:k]], weights, target)
+            reduce_s += time.perf_counter() - t0
+        self.last_reduce_s = reduce_s
         self.n_steps += 1
         return model.shard_result(loss, grads)
 

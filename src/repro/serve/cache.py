@@ -11,8 +11,10 @@ cache is only consulted for bit-identical inputs; no tolerance matching.
 :func:`payload_bytes` is the one definition of those bytes: the cache
 and the cluster router's routing key (:func:`repro.cluster.router.payload_key`)
 both use it.  A caller that validated the shape and dtype up front, as
-the serving engine and the router do, builds :func:`key_prefix` once and
-appends ``payload.tobytes()`` per request, which gives the same bytes.
+the serving engine and the router do, builds :func:`key_prefix` once:
+the engine appends ``payload.tobytes()`` per request, which gives the
+same bytes, and the router continues the prefix's CRC over the
+payload's buffer, which gives the same digest.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ training run at a fixed seed: it is identical between a serial run and a
 count up to floating-point reduction order, and bit-identical across
 repeats at the same worker count.  Wall-clock phase timings
 (:class:`PhaseTimings`) are measured, hence non-deterministic — they are
-carried on the events but excluded from equality comparisons and from
+carried on update events but excluded from equality comparisons and from
 checkpointed event logs, so resumed runs replay events that compare equal
 to the uninterrupted run's.
 """
@@ -35,10 +35,10 @@ class PhaseTimings:
     The phases mirror the paper's Fig. 5 decomposition of a mini-batch
     update: *load* (staging the batch out of the training set, or a
     prefetched chunk), *compute* (the engine's gradient call, its
-    sharded worker compute included), *reduce* (combining shard
-    gradients; the engine reduces inside its gradient call, so the loop
-    folds it into *compute* and records zero here), and *apply* (the
-    synchronized parameter update).
+    sharded worker compute included, less its reduces), *reduce*
+    (combining shard gradients, timed by the engine inside its gradient
+    call; zero when one shard writes the result itself, as in every
+    serial run), and *apply* (the synchronized parameter update).
     """
 
     load_s: float = 0.0
@@ -70,7 +70,6 @@ class EpochEvent:
     epoch: int  # 0-based
     metric: float  # reconstruction error / mean loss / accuracy
     simulated_seconds: float
-    timings: Optional[PhaseTimings] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -80,4 +79,3 @@ class LayerEvent:
     layer: int  # 0-based index into the stack
     metric: float  # the block's final epoch metric
     simulated_seconds: float
-    timings: Optional[PhaseTimings] = field(default=None, compare=False)

@@ -83,6 +83,10 @@ class TrainStep:
         return batch[lo:hi]
 
     # -- the update ------------------------------------------------------
+    #: Wall seconds the last :meth:`compute` spent reducing shard
+    #: gradients; the loop reports them apart from the rest of compute.
+    reduce_s = 0.0
+
     def compute(self, batch):
         """Gradient computation; returns ``(loss, state)``."""
         raise NotImplementedError
@@ -181,6 +185,7 @@ class ModelStep(TrainStep):
     def compute(self, batch):
         parts = batch if isinstance(batch, tuple) else (batch,)
         result = getattr(self.engine, self._entry)(self.model, *parts, **self._options)
+        self.reduce_s = self.engine.last_reduce_s
         if isinstance(result, tuple):
             return result
         return result.reconstruction_error, result  # CD-k statistics
@@ -238,8 +243,9 @@ class EventLog:
     under ``EVENT_LOG_KEY``) and replayed through the callbacks on
     resume, so :class:`~repro.train.callbacks.History` and
     :class:`~repro.train.callbacks.EarlyStopping` state survive a crash.
-    Wall-clock phase timings are *not* persisted — replayed events carry
-    ``timings=None``, which the event dataclasses exclude from equality.
+    Wall-clock phase timings are *not* persisted — replayed update events
+    carry ``timings=None``, which :class:`UpdateEvent` excludes from
+    equality.
     """
 
     def __init__(self):
@@ -334,16 +340,15 @@ class TrainLoop:
         / a sequence — receives every event; any member may request a
         stop, which ends the current :meth:`run_epochs` call after the
         in-flight epoch's bookkeeping.
-    clock:
-        Wall-clock source for phase timings (tests inject a fake).
+
+    Phase timings are read from ``time.perf_counter``, the clock the
+    engines time their reduces with.
     """
 
-    def __init__(self, *, callbacks=None,
-                 clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, *, callbacks=None):
         # The loop owns its member list (internal recorders are appended
         # to it), so a caller's CallbackList is never mutated.
         self.monitor = CallbackList(as_callback_list(callbacks).callbacks)
-        self._clock = clock
         self.log = EventLog()
         self.step_count = 0
         self.simulated_seconds = 0.0
@@ -426,9 +431,9 @@ class TrainLoop:
     def _plain_epoch(self, step, epoch, n, batch_size, rng, losses) -> None:
         order = epoch_order(n, rng)
         for lo, hi in batch_bounds(n, batch_size):
-            t0 = self._clock()
+            t0 = time.perf_counter()
             batch = step.load(order[lo:hi])
-            load_s = self._clock() - t0
+            load_s = time.perf_counter() - t0
             losses.append(self._one_update(step, epoch, batch, load_s))
             if self.monitor.stop_requested:
                 return
@@ -447,25 +452,27 @@ class TrainLoop:
                 # Staging already happened on the loader thread; the
                 # consumer-side load phase is the in-chunk narrow.
                 for lo, hi in batch_bounds(step.rows(chunk), batch_size):
-                    t0 = self._clock()
+                    t0 = time.perf_counter()
                     batch = step.narrow(chunk, lo, hi)
-                    load_s = self._clock() - t0
+                    load_s = time.perf_counter() - t0
                     losses.append(self._one_update(step, epoch, batch, load_s))
                     if self.monitor.stop_requested:
                         return
 
     def _one_update(self, step, epoch, batch, load_s: float) -> float:
-        t0 = self._clock()
+        t0 = time.perf_counter()
         loss, state = step.compute(batch)
-        t1 = self._clock()
+        t1 = time.perf_counter()
         step.apply(state)
-        t2 = self._clock()
+        t2 = time.perf_counter()
         self.step_count += 1
         self.simulated_seconds += step.charge(step.rows(batch))
-        # The engine's gradient reduction happens inside compute; it is
-        # folded into compute_s (see PhaseTimings).
+        # The engine reduces inside compute and times it; the rest of the
+        # compute span is compute_s.
+        reduce_s = step.reduce_s
         timings = PhaseTimings(
-            load_s=load_s, compute_s=t1 - t0, apply_s=t2 - t1
+            load_s=load_s, compute_s=t1 - t0 - reduce_s, reduce_s=reduce_s,
+            apply_s=t2 - t1,
         )
         event = UpdateEvent(
             self.step_count, epoch, float(loss), self.simulated_seconds,

@@ -278,6 +278,10 @@ class _StageStep(TrainStep):
     def compute(self, batch):
         return self.inner.compute(batch)
 
+    @property
+    def reduce_s(self) -> float:
+        return self.inner.reduce_s
+
     def apply(self, state) -> None:
         self.inner.apply(state)
         self._push_activations()

@@ -98,10 +98,13 @@ class ShardedTrainStep(TrainStep):
     # -- the update ------------------------------------------------------
     def compute(self, batch):
         losses, states = [], []
+        reduce_s = 0.0
         for s, b in zip(self.steps, batch):
             loss, state = s.compute(b)
             losses.append(float(loss))
             states.append(state)
+            reduce_s += s.reduce_s
+        self.reduce_s = reduce_s
         return self._mean(losses), states
 
     def apply(self, states) -> None:

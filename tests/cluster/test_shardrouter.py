@@ -48,39 +48,39 @@ def _drain(router, sreq):
 
 
 #: ``place_shards(len(fleet), fleet, n_vnodes=v)`` per ``(fleet, v)``, as
-#: recorded before the ring was shared with ``ConsistentHashPolicy``; a
-#: smaller shard count places the same replicas in the same order.
+#: recorded when the digest became CRC-32 plus ``fmix32``; a smaller
+#: shard count places the same replicas in the same order.
 PINNED_PLACEMENTS = {
     ((0, 1), 1): [1, 0],
     ((0, 1), 8): [0, 1],
     ((0, 1), 64): [0, 1],
-    ((0, 1, 2), 1): [2, 1, 0],
+    ((0, 1, 2), 1): [1, 2, 0],
     ((0, 1, 2), 8): [0, 2, 1],
-    ((0, 1, 2), 64): [2, 1, 0],
-    ((0, 1, 2, 3), 1): [2, 3, 1, 0],
-    ((0, 1, 2, 3), 8): [0, 3, 2, 1],
-    ((0, 1, 2, 3), 64): [2, 1, 3, 0],
-    (tuple(range(8)), 1): [2, 3, 7, 1, 6, 4, 0, 5],
-    (tuple(range(8)), 8): [7, 3, 6, 5, 1, 0, 4, 2],
-    (tuple(range(8)), 64): [2, 6, 5, 0, 3, 7, 4, 1],
+    ((0, 1, 2), 64): [0, 2, 1],
+    ((0, 1, 2, 3), 1): [1, 2, 3, 0],
+    ((0, 1, 2, 3), 8): [0, 2, 1, 3],
+    ((0, 1, 2, 3), 64): [0, 3, 1, 2],
+    (tuple(range(8)), 1): [6, 2, 4, 3, 5, 1, 0, 7],
+    (tuple(range(8)), 8): [0, 2, 4, 7, 3, 5, 1, 6],
+    (tuple(range(8)), 64): [7, 0, 1, 4, 2, 6, 3, 5],
     (tuple(range(16)), 1): [
-        8, 2, 14, 3, 6, 7, 12, 11,
-        5, 15, 1, 4, 9, 13, 0, 10,
+        12, 8, 4, 3, 10, 15, 0, 2,
+        6, 13, 9, 11, 5, 14, 1, 7,
     ],
     (tuple(range(16)), 8): [
-        7, 8, 13, 3, 6, 12, 14, 0,
-        5, 9, 11, 2, 15, 10, 1, 4,
+        0, 8, 4, 14, 12, 5, 1, 11,
+        10, 15, 2, 9, 7, 13, 3, 6,
     ],
     (tuple(range(16)), 64): [
-        14, 6, 13, 11, 15, 12, 4, 3,
-        5, 9, 7, 8, 0, 10, 1, 2,
+        7, 0, 9, 4, 2, 10, 3, 1,
+        15, 8, 6, 5, 11, 13, 12, 14,
     ],
-    ((3, 7, 11), 1): [11, 3, 7],
-    ((3, 7, 11), 8): [7, 3, 11],
-    ((3, 7, 11), 64): [7, 11, 3],
-    ((0, 5, 9, 12, 40), 1): [9, 0, 12, 5, 40],
-    ((0, 5, 9, 12, 40), 8): [0, 5, 9, 40, 12],
-    ((0, 5, 9, 12, 40), 64): [40, 5, 9, 12, 0],
+    ((3, 7, 11), 1): [3, 11, 7],
+    ((3, 7, 11), 8): [3, 11, 7],
+    ((3, 7, 11), 64): [7, 3, 11],
+    ((0, 5, 9, 12, 40), 1): [12, 9, 0, 5, 40],
+    ((0, 5, 9, 12, 40), 8): [0, 12, 40, 9, 5],
+    ((0, 5, 9, 12, 40), 64): [0, 5, 9, 40, 12],
 }
 
 

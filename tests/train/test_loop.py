@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.nn.autoencoder import SparseAutoencoder
+from repro.runtime.executor import ParallelGradientEngine
 from repro.train import (
     CallbackList,
     ChunkSchedule,
@@ -12,6 +14,7 @@ from repro.train import (
     EventLog,
     History,
     LayerEvent,
+    ModelStep,
     TrainLoop,
     TrainStep,
     UpdateEvent,
@@ -76,6 +79,28 @@ class TestRunEpochs:
         )
         assert all(e.timings is not None for e in history.updates)
         assert all(e.timings.total_s >= 0.0 for e in history.updates)
+
+    @staticmethod
+    def _sae_updates(engine):
+        rng = np.random.default_rng(1)
+        step = ModelStep(SparseAutoencoder(12, 6, seed=0),
+                         np.random.default_rng(0).random((64, 12)), 0.1,
+                         engine=engine, rng=rng)
+        history = History()
+        TrainLoop(callbacks=[history]).run_epochs(step, epochs=1, batch_size=32, rng=rng)
+        return history.updates
+
+    def test_two_shard_engine_times_its_reduce(self):
+        with ParallelGradientEngine(2, blas_threads=None, seed=0) as engine:
+            updates = self._sae_updates(engine)
+        assert len(updates) == 2
+        assert all(e.timings.reduce_s > 0.0 for e in updates)
+        assert all(e.timings.compute_s > 0.0 for e in updates)
+
+    def test_serial_run_has_no_reduce(self):
+        updates = self._sae_updates(None)
+        assert len(updates) == 2
+        assert all(e.timings.reduce_s == 0.0 for e in updates)
 
     def test_simulated_clock_accumulates_charges(self):
         history = History()
