@@ -13,6 +13,12 @@ walks the vnode ring to the first replica that does not already hold a
 shard, so the shard→replica map is a pure function of the fleet ids —
 two routers built over the same fleet agree without coordination.
 
+A request completes in the call where its last outstanding leg lands
+or is lost: each :class:`ShardedRequest` counts its legs still queued
+on a replica, ``poll`` decrements the count as legs land (or die with
+their replica) and gathers, in submission order, the requests whose
+count reached zero.  Nothing rescans the requests still waiting.
+
 Degraded mode is the point of the design: dropout decoupling means a
 shard's contribution is an *approximation*, not a dependency.  A leg
 lost to the ``shard.exchange`` fault site, an admission-control
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,13 +96,18 @@ def place_shards(n_shards: int, replica_ids: Sequence[int], n_vnodes: int = 64) 
 
 @dataclass(eq=False)
 class ShardedRequest:
-    """One client request scattered across every shard replica."""
+    """One client request scattered across every shard replica.
+
+    ``outstanding`` counts the legs still queued on a replica; the
+    router gathers the request when it reaches zero.
+    """
 
     id: int
     payload: np.ndarray = field(repr=False)
     arrival_s: float
     legs: Dict[int, Optional[Request]] = field(default_factory=dict)
     results: Dict[int, Optional[np.ndarray]] = field(default_factory=dict)
+    outstanding: int = 0
     complete_s: Optional[float] = None
     result: Optional[np.ndarray] = field(default=None, repr=False)
     failed: bool = False
@@ -150,12 +162,14 @@ class ShardRouter:
         self.metrics = ClusterMetrics()
         self._servables: List[ServableModel] = shard_servables(self.shards, name=name)
         self.placement = place_shards(n, range(n), n_vnodes=n_vnodes)
-        self._replicas: Dict[int, Replica] = {}
-        for k, rid in self.placement.items():
-            self._replicas[rid] = Replica(rid, self._servables[k], self.replica_config)
-        self._shard_of_replica = {rid: k for k, rid in self.placement.items()}
+        # The fleet is fixed here: one replica per shard, for life.
+        self._by_shard: Tuple[Replica, ...] = tuple(
+            Replica(self.placement[k], self._servables[k], self.replica_config)
+            for k in range(n)
+        )
+        self._fleet = tuple(sorted(self._by_shard, key=attrgetter("id")))
         self._ids = itertools.count()
-        self._pending: Dict[int, ShardedRequest] = {}
+        self._n_pending = 0
         self._leg_index: Dict[Tuple[int, int], Tuple[ShardedRequest, int]] = {}
         self.degraded_requests = 0
         self.degraded_legs = 0
@@ -172,18 +186,20 @@ class ShardRouter:
 
     @property
     def replicas(self) -> Tuple[Replica, ...]:
-        return tuple(self._replicas[rid] for rid in sorted(self._replicas))
+        """The shard replicas, by replica id."""
+        return self._fleet
 
     @property
     def n_live(self) -> int:
-        return sum(1 for r in self._replicas.values() if r.alive)
+        return sum(1 for r in self._fleet if r.alive)
 
     @property
     def pending(self) -> int:
-        return len(self._pending)
+        """Requests scattered but not yet gathered."""
+        return self._n_pending
 
     def replica_of(self, shard_index: int) -> Replica:
-        return self._replicas[self.placement[shard_index]]
+        return self._by_shard[shard_index]
 
     # -- request path ----------------------------------------------------
     def submit(self, payload: np.ndarray, now: float) -> Optional[ShardedRequest]:
@@ -196,8 +212,7 @@ class ShardRouter:
             )
         self.metrics.received += 1
         sreq = ShardedRequest(id=next(self._ids), payload=payload, arrival_s=now)
-        for k in range(self.n_shards):
-            replica = self.replica_of(k)
+        for k, replica in enumerate(self._by_shard):
             if not replica.alive:
                 self._lose_leg(sreq, k)
                 continue
@@ -216,40 +231,49 @@ class ShardRouter:
                 sreq.results[k] = request.result
             else:
                 self._leg_index[(replica.id, id(request))] = (sreq, k)
+                sreq.outstanding += 1
         if not any(leg is not None for leg in sreq.legs.values()):
             sreq.failed = True
             self.metrics.shed += 1
             return None
-        if self._resolved(sreq):
-            self._gather(sreq, now)
+        if sreq.outstanding:
+            self._n_pending += 1
         else:
-            self._pending[sreq.id] = sreq
+            self._gather(sreq, now)
         return sreq
 
     def poll(self, now: float) -> List[ShardedRequest]:
-        """Advance every shard replica; returns requests answered here."""
-        answered: List[ShardedRequest] = []
-        for replica in self.replicas:
+        """Advance every shard replica; returns requests answered here.
+
+        A request is gathered here when its last outstanding leg lands
+        or is lost; those gathers run in submission (id) order.
+        """
+        done: List[ShardedRequest] = []
+        for replica in self._fleet:
             for request in replica.poll(now):
                 entry = self._leg_index.pop((replica.id, id(request)), None)
                 if entry is None:
                     continue
                 sreq, k = entry
                 sreq.results[k] = request.result
+                sreq.outstanding -= 1
+                if not sreq.outstanding:
+                    done.append(sreq)
             if not replica.alive and not replica.failed_over:
-                self._fail_over(replica)
-        for sreq in list(self._pending.values()):
-            if self._resolved(sreq):
-                del self._pending[sreq.id]
-                self._gather(sreq, now)
-                if not sreq.failed:
-                    answered.append(sreq)
+                self._fail_over(replica, done)
+        self._n_pending -= len(done)
+        done.sort(key=attrgetter("id"))
+        answered: List[ShardedRequest] = []
+        for sreq in done:
+            self._gather(sreq, now)
+            if not sreq.failed:
+                answered.append(sreq)
         return answered
 
     def next_event_time(self) -> Optional[float]:
         candidates = [
             t
-            for t in (r.next_event_time() for r in self.replicas)
+            for t in (r.next_event_time() for r in self._fleet)
             if t is not None
         ]
         return min(candidates) if candidates else None
@@ -261,17 +285,20 @@ class ShardRouter:
         sreq.lost_shards = tuple(sorted(set(sreq.lost_shards) | {shard_index}))
         self.degraded_legs += 1
 
-    def _fail_over(self, replica: Replica) -> None:
-        """A shard replica died: its outstanding legs degrade, not fail."""
+    def _fail_over(self, replica: Replica, done: List[ShardedRequest]) -> None:
+        """A shard replica died: its outstanding legs degrade, not fail.
+
+        Requests left with no outstanding leg are appended to ``done``.
+        """
         replica.failed_over = True
         self.metrics.replica_deaths += 1
         doomed = [key for key in self._leg_index if key[0] == replica.id]
         for key in doomed:
             sreq, k = self._leg_index.pop(key)
             self._lose_leg(sreq, k)
-
-    def _resolved(self, sreq: ShardedRequest) -> bool:
-        return all(k in sreq.results for k in range(self.n_shards))
+            sreq.outstanding -= 1
+            if not sreq.outstanding:
+                done.append(sreq)
 
     def _gather(self, sreq: ShardedRequest, now: float) -> None:
         try:
@@ -289,7 +316,9 @@ class ShardRouter:
         sreq.complete_s = now
         if sreq.lost_shards:
             self.degraded_requests += 1
-        self.metrics.on_completed(sreq.latency_s)
+        # A hit when every leg that answered was answered from its cache.
+        cache_hit = all(leg.cache_hit for leg in sreq.legs.values() if leg is not None)
+        self.metrics.on_completed(sreq.latency_s, cache_hit=cache_hit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -55,17 +55,14 @@ def gather_outputs(
             acc += np.asarray(out, dtype=np.float64)
         acc /= len(live)
         return acc
+    if len(live) == len(outputs):
+        # Shard k's slice is Partition.bounds(top, k): contiguous and
+        # ascending in k, so shard order is unit order.
+        return np.concatenate(outputs, axis=-1, dtype=np.float64)
     top = len(part.layer_sizes) - 1
     first = np.asarray(live[0][1], dtype=np.float64)
-    if first.ndim == 1:  # single-request legs, e.g. from the serving tier
-        full = np.zeros(part.layer_sizes[top], dtype=np.float64)
-        for k, out in live:
-            lo, hi = part.bounds(top, k)
-            full[lo:hi] = np.asarray(out, dtype=np.float64)
-        return full
-    m = int(first.shape[0])
-    full = np.zeros((m, part.layer_sizes[top]), dtype=np.float64)
+    full = np.zeros(first.shape[:-1] + (part.layer_sizes[top],), dtype=np.float64)
     for k, out in live:
         lo, hi = part.bounds(top, k)
-        full[:, lo:hi] = np.asarray(out, dtype=np.float64)
+        full[..., lo:hi] = np.asarray(out, dtype=np.float64)
     return full

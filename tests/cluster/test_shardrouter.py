@@ -12,7 +12,7 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import SimulatedServiceModel
 from repro.shard.servables import gather_outputs
 from repro.shard.shards import partition
-from repro.testing.faults import FaultPlan, inject
+from repro.testing.faults import FaultPlan, FaultRule, inject
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.replay import TraceReplayer
 from repro.workloads.trace import trace_from_arrivals
@@ -30,9 +30,9 @@ def stack():
     return model
 
 
-def _router(stack, n=2, **kw):
+def _router(stack, n=2, cache_entries=0, **kw):
     return ShardRouter(
-        partition(stack, n), replica_config=drill_replica_config(), **kw
+        partition(stack, n), replica_config=drill_replica_config(cache_entries), **kw
     )
 
 
@@ -45,6 +45,17 @@ def _drain(router, sreq):
         guard += 1
         assert guard < 1000
     return sreq
+
+
+def _warm(router, shard, payload, now=0.0):
+    """Serve ``payload`` on ``shard``'s replica alone, filling its cache."""
+    request = router.replica_of(shard).submit(payload, now)
+    guard = 0
+    while request.complete_s is None:
+        router.poll(router.next_event_time())
+        guard += 1
+        assert guard < 1000
+    return request.complete_s
 
 
 #: ``place_shards(len(fleet), fleet, n_vnodes=v)`` per ``(fleet, v)``, as
@@ -138,6 +149,117 @@ class TestScatterGather:
         router = _router(stack, 2)
         with pytest.raises(ServingError):
             router.submit(np.zeros(5), 0.0)
+
+
+class TestCompletion:
+    """A request is gathered in the poll where its last outstanding leg
+    lands or is lost, and one poll answers in submission order."""
+
+    def test_cached_leg_plus_queued_leg_completes_once_when_queued_lands(self, stack):
+        router = _router(stack, 2, cache_entries=8)
+        payload = np.random.default_rng(6).random(12)
+        t0 = _warm(router, 0, payload)
+        sreq = router.submit(payload, t0)
+        assert sreq.legs[0].cache_hit and sreq.outstanding == 1
+        assert sreq.complete_s is None and router.pending == 1
+        answered_in = []
+        while router.next_event_time() is not None:
+            landed_before = sreq.legs[1].complete_s is not None
+            t = router.next_event_time()
+            if sreq in router.poll(t):
+                assert not landed_before and sreq.legs[1].complete_s is not None
+                answered_in.append(t)
+        assert answered_in == [sreq.complete_s]
+        assert router.metrics.completed == 1 and router.pending == 0
+        assert router.metrics.cache_hits == 0  # one leg ran the forward pass
+        assert not sreq.degraded
+
+    def test_replica_death_completes_every_request_whose_other_leg_landed(self, stack):
+        router = _router(stack, 2)
+        victim = router.placement[1]
+        rng = np.random.default_rng(7)
+        for _ in range(64):  # two full batches ahead of shard 1's legs
+            router.replica_of(1).submit(rng.random(12), 0.0)
+        early = [router.submit(rng.random(12), 0.0) for _ in range(32)]
+        late = [router.submit(rng.random(12), 0.0) for _ in range(8)]
+        # the victim's third batch carries the early requests' legs
+        plan = FaultPlan.fail("replica.serve", nth=2, match={"replica": victim})
+        with inject(plan):
+            guard = 0
+            while router.metrics.replica_deaths == 0:
+                landed = [s for s in early + late if s.legs[0].complete_s is not None]
+                t = router.next_event_time()
+                answered = router.poll(t)
+                guard += 1
+                assert guard < 1000
+        assert plan.fired() == 1
+        assert landed == early  # all landed on shard 0 in earlier polls
+        assert answered == early
+        for sreq in early:
+            assert sreq.complete_s == t and sreq.lost_shards == (1,)
+            assert sreq.degraded and sreq.outstanding == 0
+        # the late requests still wait for their shard-0 leg
+        assert all(s.complete_s is None and s.outstanding == 1 for s in late)
+        assert router.pending == len(late)
+        for sreq in late:
+            _drain(router, sreq)
+            assert sreq.degraded and sreq.lost_shards == (1,)
+        assert router.pending == 0 and router.metrics.failed == 0
+
+    def test_one_poll_answers_in_submission_order(self, stack):
+        router = _router(stack, 2, cache_entries=8)
+        rng = np.random.default_rng(8)
+        pa, pb = rng.random(12), rng.random(12)
+        _warm(router, 0, pa)
+        t0 = _warm(router, 1, pb)
+        first = router.submit(pa, t0)  # waits on shard 1
+        second = router.submit(pb, t0)  # waits on shard 0, polled first
+        assert first.id < second.id
+        assert (first.outstanding, second.outstanding) == (1, 1)
+        answered = []
+        while router.next_event_time() is not None:
+            out = router.poll(router.next_event_time())
+            if out:
+                answered.append(out)
+        assert answered == [[first, second]]
+
+    def test_drained_replay_leaves_nothing_pending(self, stack):
+        router = _router(stack, 2)
+        trace = trace_from_arrivals(PoissonArrivals(2000.0), 0.05, seed=1)
+        plan = FaultPlan((
+            FaultRule("shard.exchange", nth=4, times=3, match={"phase": "scatter"}),
+            FaultRule("replica.serve", nth=3, match={"replica": router.placement[1]}),
+        ))
+        with inject(plan):
+            replay = TraceReplayer(router, trace).run()
+        assert plan.fired("shard.exchange") == 3
+        assert plan.fired("replica.serve") == 1
+        metrics = router.metrics
+        assert router.pending == 0
+        assert metrics.completed + metrics.failed + metrics.shed == replay.offered
+        assert router.degraded_requests >= 1
+
+
+class TestCacheHits:
+    def test_request_answered_from_every_shard_cache_counts_as_hit(self, stack):
+        router = _router(stack, 2, cache_entries=8)
+        payload = np.random.default_rng(9).random(12)
+        first = _drain(router, router.submit(payload, 0.0))
+        second = router.submit(payload, first.complete_s)
+        assert second.complete_s == first.complete_s  # answered inline
+        assert [r.engine.metrics.cache_hits for r in router.replicas] == [1, 1]
+        assert router.metrics.completed == 2
+        assert router.metrics.cache_hits == 1
+
+    def test_degraded_request_counts_when_its_answered_legs_hit(self, stack):
+        router = _router(stack, 2, cache_entries=8)
+        payload = np.random.default_rng(10).random(12)
+        t0 = _warm(router, 0, payload)
+        plan = FaultPlan.fail("shard.exchange", nth=0, match={"phase": "scatter", "shard": 1})
+        with inject(plan):
+            sreq = router.submit(payload, t0)
+        assert sreq.complete_s == t0 and sreq.degraded
+        assert router.metrics.cache_hits == 1
 
 
 class TestDegradedMode:

@@ -23,6 +23,7 @@ from repro.bench.shardbench import (
 from repro.errors import ConfigurationError
 from repro.nn.mlp import DeepNetwork
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
+from repro.shard.servables import gather_outputs
 from repro.shard.shards import merge, partition
 
 SHARD_COUNTS = (1, 2, 4)
@@ -113,10 +114,60 @@ class TestForwardParity:
         the unmasked full model; parity only holds against the masked
         oracle.  Guards against accidentally comparing the wrong thing."""
         shards = partition(sae, 2)
-        from repro.shard.servables import gather_outputs
-
         gathered = gather_outputs(shards, [s.partial_output(x) for s in shards])
         assert _max_abs(gathered, sae.transform(x)) > 1e-6
+
+
+class TestGather:
+    """Stack shards' code slices: every leg present gathers in one
+    concatenate, a lost leg's slice is zero-filled; both must equal a
+    reference built slice by slice from ``Partition.bounds``."""
+
+    @pytest.fixture(scope="class")
+    def uneven(self, x):
+        model = StackedAutoencoder(  # 7 code units over 3 shards: 3, 2, 2
+            12,
+            [LayerSpec(9, epochs=1, batch_size=16), LayerSpec(7, epochs=1, batch_size=16)],
+            seed=0,
+        )
+        model.pretrain(x)
+        return partition(model, 3)
+
+    @staticmethod
+    def _legs(shards, x, two_d):
+        legs = [s.partial_output(x) for s in shards]
+        return legs if two_d else [leg[0] for leg in legs]
+
+    @staticmethod
+    def _slice_by_slice(shards, legs):
+        part = shards[0].partition
+        top = len(part.layer_sizes) - 1
+        shape = next(leg for leg in legs if leg is not None).shape[:-1]
+        ref = np.zeros(shape + (part.layer_sizes[top],))
+        for k, leg in enumerate(legs):
+            if leg is not None:
+                lo, hi = part.bounds(top, k)
+                ref[..., lo:hi] = leg
+        return ref
+
+    @pytest.mark.parametrize("two_d", [True, False])
+    def test_every_leg_present_matches_slice_reference_bit_for_bit(self, uneven, x, two_d):
+        legs = self._legs(uneven, x, two_d)
+        assert [leg.shape[-1] for leg in legs] == [3, 2, 2]
+        got = gather_outputs(uneven, legs)
+        ref = self._slice_by_slice(uneven, legs)
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("two_d", [True, False])
+    @pytest.mark.parametrize("lost", [0, 1, 2])
+    def test_lost_leg_slice_is_zero_filled(self, uneven, x, lost, two_d):
+        legs = self._legs(uneven, x, two_d)
+        legs[lost] = None
+        got = gather_outputs(uneven, legs)
+        lo, hi = uneven[0].partition.bounds(2, lost)
+        assert np.all(got[..., lo:hi] == 0.0)
+        assert got.tobytes() == self._slice_by_slice(uneven, legs).tobytes()
 
 
 class TestStepParity:
