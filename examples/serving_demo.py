@@ -51,11 +51,11 @@ def describe(label, cell):
     latency = metrics.latency
     print(f"  {label}")
     print(
-        f"    served {metrics.served}/{replay.offered} "
-        f"(rejected {metrics.rejected}, cache hits {metrics.cache_hits})"
+        f"    served {metrics.completed}/{replay.offered} "
+        f"(rejected {metrics.shed}, cache hits {metrics.cache_hits})"
     )
     print(
-        f"    throughput {metrics.served / replay.makespan_s:8.0f} rps   "
+        f"    throughput {metrics.completed / replay.makespan_s:8.0f} rps   "
         f"mean batch {metrics.mean_batch_size:5.1f}"
     )
     print(

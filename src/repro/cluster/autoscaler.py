@@ -2,7 +2,7 @@
 
 The scaling signals are two numbers every routable replica already
 keeps, so the autoscaler adds no instrumentation: its engine's
-admission-control count ``engine.metrics.rejected`` and its
+admission-control count ``engine.metrics.shed`` and its
 ``outstanding`` work (queued plus in flight):
 
 * **scale up** when the fleet shows distress: any admission-control
@@ -87,7 +87,7 @@ class Autoscaler:
         self.history: List[Dict[str, object]] = []
         self._next_eval = 0.0
         self._last_action_at: Optional[float] = None
-        self._seen_rejected = 0
+        self._seen_shed = 0
 
     # ------------------------------------------------------------------
     def evaluate(self, now: float) -> Optional[str]:
@@ -103,9 +103,9 @@ class Autoscaler:
         live = self.router.routable_replicas()
         if not live:
             return None
-        total_rejected = sum(r.engine.metrics.rejected for r in live)
-        rejected_delta = total_rejected - self._seen_rejected
-        self._seen_rejected = total_rejected
+        total_shed = sum(r.engine.metrics.shed for r in live)
+        shed_delta = total_shed - self._seen_shed
+        self._seen_shed = total_shed
         mean_outstanding = sum(r.outstanding for r in live) / len(live)
 
         in_cooldown = (
@@ -113,8 +113,8 @@ class Autoscaler:
             and now - self._last_action_at + 1e-12 < self.config.cooldown_s
         )
         action: Optional[str] = None
-        overloaded = rejected_delta > 0 or mean_outstanding > self.config.high_watermark
-        idle = rejected_delta == 0 and mean_outstanding < self.config.low_watermark
+        overloaded = shed_delta > 0 or mean_outstanding > self.config.high_watermark
+        idle = shed_delta == 0 and mean_outstanding < self.config.low_watermark
         if overloaded and len(live) < self.config.max_replicas and not in_cooldown:
             self.router.add_replica()
             action = "scale-up"
@@ -129,7 +129,7 @@ class Autoscaler:
                     "action": action,
                     "n_replicas": len(self.router.routable_replicas()),
                     "mean_outstanding": mean_outstanding,
-                    "rejected_delta": rejected_delta,
+                    "shed_delta": shed_delta,
                 }
             )
         return action

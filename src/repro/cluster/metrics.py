@@ -10,7 +10,7 @@ death, load shedding, swaps, and autoscaling actions.
 
 Like everything in the serving stack the state is plain Python driven
 by the simulated clock, so identical seeded runs produce bit-identical
-counters and histogram fingerprints.
+counters and latency samples.
 """
 
 from __future__ import annotations

@@ -172,7 +172,8 @@ class Replica:
 
         An injected ``replica.serve`` fault (raise rule) surfaces here:
         the replica is marked dead and whatever completed *before* the
-        fault is still returned — the router fails over the rest.
+        fault is still returned, including the batches the dying engine
+        retired in this same call — the router fails over the rest.
         """
         completed: List[Request] = []
         if not self.alive:
@@ -180,14 +181,16 @@ class Replica:
         for old in list(self._draining):
             try:
                 completed.extend(old.poll(now))
-            except FaultError:
+            except FaultError as exc:
+                completed.extend(exc.completed)
                 self._mark_dead(now)
                 return completed
             if old.outstanding == 0:
                 self._draining.remove(old)
         try:
             completed.extend(self.engine.poll(now))
-        except FaultError:
+        except FaultError as exc:
+            completed.extend(exc.completed)
             self._mark_dead(now)
         return completed
 

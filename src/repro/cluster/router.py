@@ -353,7 +353,11 @@ class Router:
         return creq
 
     def poll(self, now: float) -> List[ClusterRequest]:
-        """Advance the fleet to ``now``; returns client requests answered here."""
+        """Advance the fleet to ``now``; returns client requests answered here.
+
+        That includes a fail-over or hedge leg that a replica answered
+        from its cache while this call placed it.
+        """
         completed: List[ClusterRequest] = []
         for replica in list(self._replicas):
             for request in replica.poll(now):
@@ -370,10 +374,10 @@ class Router:
                 self._complete(creq, leg, now)
                 completed.append(creq)
             if not replica.alive and not replica.failed_over:
-                self._fail_over(replica, now)
+                self._fail_over(replica, now, completed)
         self._reap(now)
         if self.hedge.enabled:
-            self._launch_hedges(now)
+            self._launch_hedges(now, completed)
         return completed
 
     def next_event_time(self) -> Optional[float]:
@@ -507,8 +511,11 @@ class Router:
             # else: already riding a batch; its completion is counted
             # as hedges_wasted when it surfaces in poll().
 
-    def _fail_over(self, replica: Replica, now: float) -> None:
-        """Re-dispatch every outstanding leg of a dead replica."""
+    def _fail_over(
+        self, replica: Replica, now: float, completed: List[ClusterRequest]
+    ) -> None:
+        """Re-dispatch every outstanding leg of a dead replica; a request
+        answered inline from a cache is appended to ``completed``."""
         replica.failed_over = True
         self.metrics.replica_deaths += 1
         doomed = [
@@ -528,7 +535,9 @@ class Router:
                 continue  # another live leg is still racing
             if self._dispatch(creq, now, hedge=False) is not None:
                 self.metrics.rerouted += 1
-                if self.hedge.enabled and creq.complete_s is None:
+                if creq.complete_s is not None:
+                    completed.append(creq)
+                elif self.hedge.enabled:
                     creq.hedged = False  # the rerouted leg earns its own budget
                     creq.hedge_at = now + self.hedge_deadline_s()
             else:
@@ -536,7 +545,9 @@ class Router:
                 self._pending.pop(creq.id, None)
                 self.metrics.failed += 1
 
-    def _launch_hedges(self, now: float) -> None:
+    def _launch_hedges(self, now: float, completed: List[ClusterRequest]) -> None:
+        """Hedge every pending request past its deadline; a request
+        answered inline from a cache is appended to ``completed``."""
         if self.n_live < 2:
             return
         for creq in list(self._pending.values()):
@@ -545,6 +556,8 @@ class Router:
             creq.hedged = True  # one shot, whether or not a replica accepts
             if self._dispatch(creq, now, hedge=True) is not None:
                 self.metrics.hedges_launched += 1
+                if creq.complete_s is not None:
+                    completed.append(creq)
 
     def _reap(self, now: float) -> None:
         """Drop settled dead members and drained retirees from the fleet;

@@ -20,7 +20,7 @@ Quick tour::
     engine = ServingEngine(servable, policy=BatchPolicy(max_batch_size=32))
     trace = trace_from_arrivals(PoissonArrivals(2000.0), 1.0, seed=0)
     replay = TraceReplayer(engine, trace).run()
-    print(engine.metrics.served / replay.makespan_s,
+    print(engine.metrics.completed / replay.makespan_s,
           engine.metrics.latency.percentile(99))
 """
 

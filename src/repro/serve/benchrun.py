@@ -76,9 +76,9 @@ def run_serve_bench(
                 "max_batch": max_batch,
                 "rate_rps": rate,
                 "offered": replay.offered,
-                "served": metrics.served,
-                "rejected": metrics.rejected,
-                "throughput_rps": metrics.served / replay.makespan_s,
+                "served": metrics.completed,
+                "rejected": metrics.shed,
+                "throughput_rps": metrics.completed / replay.makespan_s,
                 "mean_batch": metrics.mean_batch_size,
                 "p50_ms": metrics.latency.percentile(50) * 1e3,
                 "p95_ms": metrics.latency.percentile(95) * 1e3,

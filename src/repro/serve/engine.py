@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ServingError
+from repro.errors import ConfigurationError, ReproError, ServingError
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Request
 from repro.serve.cache import FeatureCache, key_prefix
 from repro.serve.metrics import ServingMetrics
@@ -201,13 +201,12 @@ class ServingEngine:
                 request.dispatch_s = request.complete_s = now
                 request.cache_hit = True
                 self.metrics.cache_hits += 1
-                self.metrics.on_served(0.0, 0.0, 0.0)
+                self.metrics.on_completed(0.0, 0.0)
                 return request
             self.metrics.cache_misses += 1
         if not self.batcher.offer(request):
-            self.metrics.rejected += 1
+            self.metrics.shed += 1
             return None
-        self.metrics.on_queue_depth(self.batcher.queue_depth)
         return request
 
     def cancel(self, request: Request, now: float) -> bool:
@@ -224,13 +223,22 @@ class ServingEngine:
 
     def poll(self, now: float) -> List[Request]:
         """Advance the engine to ``now``: retire finished batches and
-        dispatch ready ones.  Returns requests completed by this call."""
+        dispatch ready ones.  Returns requests completed by this call.
+
+        If a dispatch raises a :class:`~repro.errors.ReproError` (say,
+        an injected fault), the requests this call already retired ride
+        out on it as ``exc.completed``: they were answered.
+        """
         completed = self._retire(now)
-        while self.batcher.ready(now):
-            worker = self.workers.acquire(now)
-            if worker is None:
-                break
-            self._dispatch(self.batcher.next_batch(), worker, now)
+        try:
+            while self.batcher.ready(now):
+                worker = self.workers.acquire(now)
+                if worker is None:
+                    break
+                self._dispatch(self.batcher.next_batch(), worker, now)
+        except ReproError as exc:
+            exc.completed = completed
+            raise
         return completed
 
     def next_event_time(self) -> Optional[float]:
@@ -289,9 +297,7 @@ class ServingEngine:
         for batch in sorted(finished, key=lambda b: (b.done_s, b.dispatch_s)):
             for request in batch.requests:
                 request.complete_s = batch.done_s
-                self.metrics.on_served(
-                    request.wait_s, batch.done_s - batch.dispatch_s, request.latency_s
-                )
+                self.metrics.on_completed(request.wait_s, request.latency_s)
                 if self.cache is not None:
                     self.cache.store(
                         self._key_prefix + request.payload.tobytes(), request.result

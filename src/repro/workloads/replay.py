@@ -1,13 +1,21 @@
 """Trace replay against any clock-agnostic serving target.
 
 :class:`TraceReplayer` drives a :class:`~repro.workloads.trace.Trace`
-through the duck-typed surface both :class:`repro.serve.ServingEngine`
-and :class:`repro.cluster.Router` expose::
+through the duck-typed surface :class:`repro.serve.ServingEngine`,
+:class:`repro.cluster.Router` and :class:`repro.cluster.ShardRouter`
+expose::
 
     target.servable.n_inputs        # payload width
     target.submit(payload, now)     # -> request | None (shed)
     target.poll(now)                # -> completed requests
     target.next_event_time()        # -> float | None (idle)
+    target.metrics                  # received, completed, shed,
+                                    # cache_hits, latency.samples
+
+The target's ``metrics`` are the one record of what it did: the report
+takes its counts and latencies from them, so the replayer keeps no
+per-request list or counter of its own, and a target that has already
+received a request is refused.
 
 Time comes from :class:`repro.phi.events.EventSimulator`, so a replay
 is a pure function of (trace, target construction) — two replays of the
@@ -23,7 +31,7 @@ contract the chaos-under-load drills assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,26 +71,6 @@ class ReplayReport:
     def shed_rate(self) -> float:
         return self.shed / self.offered if self.offered else 0.0
 
-    def row(self) -> Dict[str, object]:
-        """One table row (benchmarks stack these)."""
-        return {
-            "trace": self.trace_name,
-            "offered": self.offered,
-            "completed": self.completed,
-            "shed": self.shed,
-            "errors": self.errors,
-            "throughput_rps": self.throughput_rps,
-            "p50_ms": self.latency_p50_s * 1e3,
-            "p99_ms": self.latency_p99_s * 1e3,
-            "train_steps": self.train_steps,
-        }
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
-
 
 class TraceReplayer:
     """Replays one trace against one serving target (single-use).
@@ -90,8 +78,8 @@ class TraceReplayer:
     Parameters
     ----------
     target:
-        A fresh engine or router (targets carry metrics state, so one
-        replayer run per target).
+        A fresh engine or router: the report reads the target's
+        ``metrics``, so one replayer run per target.
     trace:
         The workload to replay; validated on construction.
     payloads:
@@ -151,30 +139,26 @@ class TraceReplayer:
                 "a TraceReplayer (and its target) is single-use; "
                 "build a fresh target+replayer per run"
             )
-        self._ran = True
         trace = self.trace
         target = self.target
+        metrics = target.metrics
+        if metrics.received:
+            raise ServingError(
+                f"the target has already received {metrics.received} "
+                "request(s); the report reads its metrics, so replay "
+                "against a fresh target"
+            )
+        self._ran = True
 
         sim = EventSimulator()
-        # A count and the latency floats, not the requests: a request pins
-        # its payload and its batch's output array.
-        completed = [0]
-        latencies: List[float] = []
-        shed = [0]
         train_steps = [0]
         train_failures = [0]
         train_seconds = [0.0]
         first_train_error = [""]
         next_wake: List[Optional[float]] = [None]
 
-        def record(request) -> None:
-            completed[0] += 1
-            if request.latency_s is not None:
-                latencies.append(request.latency_s)
-
         def drive():
-            for request in target.poll(sim.now):
-                record(request)
+            target.poll(sim.now)  # the target's metrics record what completed
             if next_wake[0] is not None and next_wake[0] <= sim.now + 1e-12:
                 next_wake[0] = None  # that wakeup just fired (or is stale)
             upcoming = target.next_event_time()
@@ -186,11 +170,7 @@ class TraceReplayer:
                 sim.schedule_at(upcoming, drive)
 
         def arrive(key: int):
-            request = target.submit(self.payloads[key], sim.now)
-            if request is None:
-                shed[0] += 1
-            elif request.complete_s is not None:
-                record(request)  # cache hit, answered inline
+            target.submit(self.payloads[key], sim.now)
             drive()
 
         def train():
@@ -216,31 +196,32 @@ class TraceReplayer:
             sim.schedule_at(at_s, act, i)
         makespan = max(sim.run(), trace.duration_s)
         # drive schedules itself, so its closure refers to itself; unbind
-        # it so the closures (and the latencies) are freed on return, not
-        # at the next cyclic collection.
+        # it so the closures are freed on return, not at the next cyclic
+        # collection.
         del drive
 
         offered = trace.n_requests
-        n_completed = completed[0]
-        errors = max(0, offered - shed[0] - n_completed)
-        metrics = getattr(target, "metrics", None)
-        cache_hits = int(getattr(metrics, "cache_hits", 0)) if metrics else 0
+        completed = metrics.completed
+        latencies = metrics.latency.samples
+        p50, p95, p99 = (
+            np.percentile(latencies, (50, 95, 99)) if latencies else (0.0, 0.0, 0.0)
+        )
         return ReplayReport(
             trace_name=trace.name,
             fingerprint=trace.fingerprint(),
             offered=offered,
-            completed=n_completed,
-            shed=shed[0],
-            errors=errors,
-            cache_hits=cache_hits,
+            completed=completed,
+            shed=metrics.shed,
+            errors=max(0, offered - metrics.shed - completed),
+            cache_hits=metrics.cache_hits,
             train_steps=train_steps[0],
             train_failures=train_failures[0],
             train_seconds=train_seconds[0],
             makespan_s=makespan,
-            throughput_rps=n_completed / makespan if makespan > 0 else 0.0,
-            goodput_fraction=n_completed / offered if offered else 0.0,
-            latency_p50_s=_percentile(latencies, 50),
-            latency_p95_s=_percentile(latencies, 95),
-            latency_p99_s=_percentile(latencies, 99),
+            throughput_rps=completed / makespan if makespan > 0 else 0.0,
+            goodput_fraction=completed / offered if offered else 0.0,
+            latency_p50_s=float(p50),
+            latency_p95_s=float(p95),
+            latency_p99_s=float(p99),
             first_train_error=first_train_error[0],
         )

@@ -1,9 +1,44 @@
-"""Chaos under load: faults injected mid-replay must not break the SLO."""
+"""Chaos under load: faults injected mid-replay must not break the SLO.
+
+The quick serving drills run on the simulated clock, so their rows are
+pinned exactly at seed 0: scenario, site, fired count, verdict and
+detail.
+"""
 
 import pytest
 
-from repro.testing.chaos import run_chaos, run_chaos_under_load
+from repro.testing.chaos import run_chaos, run_chaos_under_load, run_shard_chaos
 from repro.workloads.patterns import generate
+
+#: ``run_chaos_under_load("mixed_train_serve", quick=True, seed=0)``.
+MIXED_ROWS = [
+    {"scenario": "under load [mixed_train_serve]: dispatch faults absorbed by spillover",
+     "site": "router.dispatch", "fired": 3, "ok": True,
+     "detail": "3 dispatch fault(s), 237/238 completed"},
+    {"scenario": "under load [mixed_train_serve]: replica death fails over",
+     "site": "replica.serve", "fired": 1, "ok": True,
+     "detail": "deaths=1 rerouted=1 failed=0 (2 replicas live)"},
+    {"scenario": "under load [mixed_train_serve]: training blast radius contained",
+     "site": "engine.worker", "fired": 1, "ok": True,
+     "detail": "train steps 7 ok / 1 failed; serving errors 0 "
+               "(FaultError: injected fault at 'engine.worker' (visit 3))"},
+    {"scenario": "under load [mixed_train_serve]: SLO held with faults injected",
+     "site": "-", "fired": 5, "ok": True,
+     "detail": "p99 3.15 ms, error rate 0.0000, shed rate 0.0042"},
+]
+
+#: ``run_shard_chaos(quick=True, seed=0)``.
+SHARD_ROWS = [
+    {"scenario": "sharded serving: scatter legs lost, requests degrade",
+     "site": "shard.exchange", "fired": 3, "ok": True,
+     "detail": "2685/2686 served, failed=0, degraded=1"},
+    {"scenario": "sharded serving: shard replica killed, survivors answer",
+     "site": "replica.serve", "fired": 1, "ok": True,
+     "detail": "2686/2686 served, failed=0, deaths=1, degraded=2590"},
+    {"scenario": "sharded pretrain: kill at shard.exchange, resume",
+     "site": "shard.exchange", "fired": 1, "ok": True,
+     "detail": "max |Δparam| after resume = 0.0e+00"},
+]
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +66,14 @@ class TestMixedTrainServeDrill:
         slo_row = mixed_rows[-1]
         assert "SLO held" in slo_row["scenario"]
         assert slo_row["ok"]
+
+
+class TestPinnedRows:
+    def test_mixed_train_serve_rows(self, mixed_rows):
+        assert mixed_rows == MIXED_ROWS
+
+    def test_shard_chaos_rows(self):
+        assert run_shard_chaos(quick=True, seed=0) == SHARD_ROWS
 
 
 class TestTraceSources:

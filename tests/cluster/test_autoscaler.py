@@ -71,7 +71,7 @@ class TestScalingDecisions:
         scaler = Autoscaler(router, config(high_watermark=1e9))
         flood(router, 12)  # queue depth 8 -> four rejections
         assert scaler.evaluate(0.0) == "scale-up"
-        assert scaler.history[0]["rejected_delta"] == 4
+        assert scaler.history[0]["shed_delta"] == 4
 
     def test_rejection_delta_not_recounted(self, servable):
         router = make_router(servable)

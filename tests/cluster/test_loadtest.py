@@ -43,7 +43,7 @@ class TestHarness:
     def test_deterministic_across_runs(self, servable):
         a, a_replay = load_run(servable, seed=42)
         b, b_replay = load_run(servable, seed=42)
-        assert a.latency.bucket_counts() == b.latency.bucket_counts()
+        assert a.latency.samples == b.latency.samples
         assert (a_replay.offered, a.completed, a.shed) == (
             b_replay.offered, b.completed, b.shed
         )
@@ -52,7 +52,7 @@ class TestHarness:
     def test_different_seeds_differ(self, servable):
         a, _ = load_run(servable, seed=1)
         b, _ = load_run(servable, seed=2)
-        assert a.latency.bucket_counts() != b.latency.bucket_counts()
+        assert a.latency.samples != b.latency.samples
 
     def test_actions_fire_at_scheduled_times(self, servable):
         """Actions given out of order still fire in time order."""
@@ -90,6 +90,6 @@ class TestTraceMode:
         )
         router = make_router(servable)
         replay = TraceReplayer(router, trace, payloads=pool).run()
-        assert router.metrics.latency.bucket_counts() == inline.latency.bucket_counts()
+        assert router.metrics.latency.samples == inline.latency.samples
         assert router.metrics.completed == inline.completed
         assert replay.makespan_s == inline_replay.makespan_s

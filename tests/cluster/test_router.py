@@ -24,6 +24,7 @@ from repro.cluster.router import (
     vnode_ring,
 )
 from repro.errors import ConfigurationError, ServingError
+from repro.serve.engine import ConstantServiceModel
 from repro.testing.faults import FaultPlan, inject
 
 from tests.cluster.conftest import BASE_S, PER_EXAMPLE_S, PreferLowestId, fast_config
@@ -451,6 +452,53 @@ class TestFaultSitesAndFailover:
         assert router.metrics.failed == 1
         assert router.pending == 0
         assert router.n_live == 0
+
+
+class TestInlineAnswersInPoll:
+    """A hedge or fail-over leg placed inside ``poll`` can land on a
+    replica that answers it from its cache; that ``poll`` returns the
+    request, exactly once."""
+
+    def cached_router(self, servable, hedge):
+        """Two round-robin replicas; payload 0 is cached on replica 1 only."""
+        router = make_router(
+            servable, n=2, policy=RoundRobinPolicy(), hedge=hedge, cache_entries=64,
+            service_model_factory=lambda s: ConstantServiceModel(1e-2, 1e-4),
+        )
+        x = payload(0)
+        router.replicas[1].engine.cache.put(x, servable.predict(x[None])[0])
+        return router, x
+
+    def run_to_idle(self, router):
+        answered = []
+        while (t := router.next_event_time()) is not None:
+            answered.extend(router.poll(t))
+        return answered
+
+    def test_hedge_answered_from_cache(self, servable):
+        router, x = self.cached_router(
+            servable, HedgePolicy(min_deadline_s=2e-3, warmup=50)
+        )
+        creq = router.submit(x, 0.0)
+        assert creq.complete_s is None and creq.legs[0].replica_id == 0
+        assert self.run_to_idle(router) == [creq]
+        assert creq.served_by == 1 and creq.complete_s == pytest.approx(2e-3)
+        m = router.metrics
+        assert (m.completed, m.hedges_launched, m.hedges_won) == (1, 1, 1)
+        assert m.latency.samples == (creq.latency_s,)
+        assert router.pending == 0
+
+    def test_fail_over_answered_from_cache(self, servable):
+        router, x = self.cached_router(servable, NO_HEDGING)
+        with inject(FaultPlan.fail("replica.serve", match={"replica": 0})):
+            creq = router.submit(x, 0.0)
+            assert creq.complete_s is None and creq.legs[0].replica_id == 0
+            answered = self.run_to_idle(router)
+        assert answered == [creq]
+        assert creq.served_by == 1
+        m = router.metrics
+        assert (m.completed, m.replica_deaths, m.rerouted, m.failed) == (1, 1, 1, 0)
+        assert router.pending == 0
 
 
 class TestSwapAndScaling:

@@ -127,7 +127,7 @@ class TestServingEngine:
         assert engine.submit(rng.random(25), now=0.0) is not None
         assert engine.submit(rng.random(25), now=0.0) is not None
         assert engine.submit(rng.random(25), now=0.0) is None
-        assert engine.metrics.rejected == 1
+        assert engine.metrics.shed == 1
         assert engine.metrics.received == 3
 
     def test_single_worker_serialises_batches(self, servable, rng):
@@ -142,6 +142,32 @@ class TestServingEngine:
         assert engine.next_event_time() == pytest.approx(0.011)
         engine.poll(0.011)
         assert len(engine.metrics.batch_sizes) == 2
+
+    def test_failed_dispatch_carries_the_requests_it_retired(self, servable, rng):
+        """A poll that retires a batch and then fails to dispatch the next
+        raises, with the retired requests on the error."""
+
+        class FailsSecondBatch(ConstantServiceModel):
+            calls = 0
+
+            def seconds(self, batch_size):
+                self.calls += 1
+                if self.calls == 2:
+                    raise ServingError("device lost")
+                return super().seconds(batch_size)
+
+        engine = make_engine(
+            servable, policy=BatchPolicy(max_batch_size=1, max_wait_s=0.0),
+            service_model=FailsSecondBatch(base_s=0.01, per_example_s=0.001),
+        )
+        first = engine.submit(rng.random(25), now=0.0)
+        engine.submit(rng.random(25), now=0.0)
+        assert engine.poll(0.0) == []
+        with pytest.raises(ServingError, match="device lost") as info:
+            engine.poll(0.011)
+        assert info.value.completed == [first]
+        assert first.complete_s == pytest.approx(0.011)
+        assert engine.metrics.completed == 1
 
     def test_two_workers_run_batches_concurrently(self, servable, rng):
         engine = make_engine(

@@ -100,20 +100,21 @@ class TestLoadTestHarness:
     def test_report_accounting_consistent(self, servable):
         """The engine's counters account for every offered request."""
         metrics, replay = load_run(servable, max_batch=8, rate=2000.0)
-        assert replay.offered == metrics.served + metrics.rejected
-        assert metrics.served > 0
+        assert replay.offered == metrics.completed + metrics.shed
+        assert metrics.completed > 0
         latency = metrics.latency
         assert latency.percentile(50) <= latency.percentile(95) <= latency.percentile(99)
         assert 1.0 <= metrics.mean_batch_size <= 8.0
 
     def test_deterministic_across_runs(self, servable, small_ae):
-        """Same seed ⇒ bit-identical latency histograms and counters."""
+        """Same seed ⇒ bit-identical latency samples and counters."""
         first, first_replay = load_run(servable, max_batch=16, rate=3000.0, seed=42)
         second, second_replay = load_run(
             ServableModel("ae2", small_ae), max_batch=16, rate=3000.0, seed=42
         )
-        assert first.latency.bucket_counts() == second.latency.bucket_counts()
-        assert first.served == second.served
+        assert first.latency.samples == second.latency.samples
+        assert first.wait.samples == second.wait.samples
+        assert first.completed == second.completed
         assert first_replay.makespan_s == second_replay.makespan_s
         assert first.latency.percentile(99) == second.latency.percentile(99)
 
@@ -122,7 +123,7 @@ class TestLoadTestHarness:
         second, _ = load_run(
             ServableModel("ae2", small_ae), max_batch=16, rate=3000.0, seed=2
         )
-        assert first.latency.bucket_counts() != second.latency.bucket_counts()
+        assert first.latency.samples != second.latency.samples
 
     def test_batching_at_least_doubles_saturated_throughput(self, servable, small_ae):
         """The acceptance gate: at high arrival rate, dynamic batching
@@ -132,9 +133,9 @@ class TestLoadTestHarness:
         batched, batched_replay = load_run(
             ServableModel("ae2", small_ae), max_batch=32, rate=8000.0
         )
-        assert unbatched.rejected > 0  # the unbatched server saturates
-        assert (batched.served / batched_replay.makespan_s
-                >= 2.0 * unbatched.served / unbatched_replay.makespan_s)
+        assert unbatched.shed > 0  # the unbatched server saturates
+        assert (batched.completed / batched_replay.makespan_s
+                >= 2.0 * unbatched.completed / unbatched_replay.makespan_s)
         assert batched.mean_batch_size > 2.0
 
     def test_cache_accelerates_repetitive_traffic(self, servable):
@@ -142,7 +143,7 @@ class TestLoadTestHarness:
             servable, max_batch=8, rate=2000.0, payload_pool=4,  # heavy reuse
             cache=FeatureCache(),
         )
-        assert metrics.cache_hits > metrics.served / 2
+        assert metrics.cache_hits > metrics.completed / 2
 
     def test_all_served_requests_carry_results(self, servable):
         engine = ServingEngine(
@@ -152,8 +153,8 @@ class TestLoadTestHarness:
         )
         trace = trace_from_arrivals(PoissonArrivals(500.0), 0.2, seed=3)
         replay = TraceReplayer(engine, trace).run()
-        assert engine.metrics.rejected == 0
-        assert engine.metrics.served == replay.offered == replay.completed
+        assert engine.metrics.shed == 0
+        assert engine.metrics.completed == replay.offered == replay.completed
 
 
 class TestTraceMode:
@@ -173,6 +174,6 @@ class TestTraceMode:
         engine = make_engine(ServableModel("ae2", small_ae), max_batch=8)
         TraceReplayer(engine, trace, payloads=pool).run()
         replayed = engine.metrics
-        assert replayed.latency.bucket_counts() == inline.latency.bucket_counts()
-        assert replayed.served == inline.served
+        assert replayed.latency.samples == inline.latency.samples
+        assert replayed.completed == inline.completed
         assert replayed.latency.percentile(99) == inline.latency.percentile(99)

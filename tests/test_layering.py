@@ -1,5 +1,6 @@
 """The import-layering lint passes on the real tree and catches violations."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,35 @@ class TestRealTree:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "import layering OK" in proc.stdout
+
+
+class TestBoundaryTable:
+    """docs/architecture.md's boundary table states the lint's rules."""
+
+    @staticmethod
+    def table():
+        """``{module: [prefix, ...]}`` from the first table after the
+        "The enforced boundary" heading; prose after a ``—`` is skipped."""
+        text = (REPO / "docs" / "architecture.md").read_text()
+        lines = text.split("## The enforced boundary", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            module, rule = (c.strip() for c in line.strip().strip("|").split("|"))
+            name = re.fullmatch(r"`(repro[\w.]*)`", module)
+            if name is None:
+                continue  # header and separator
+            assert name.group(1) not in rows, f"{name.group(1)} listed twice"
+            rows[name.group(1)] = re.findall(r"`([\w.]+)`", rule.split(" — ")[0])
+        return rows
+
+    def test_table_lists_every_rule_with_exactly_its_prefixes(self):
+        table = {pkg: sorted(prefixes) for pkg, prefixes in self.table().items()}
+        assert table == {
+            pkg: sorted(banned) for pkg, banned in check_layering.FORBIDDEN.items()
+        }
 
 
 class TestDetection:
@@ -78,6 +108,16 @@ class TestDetection:
         (pkg / "bad.py").write_text("from repro.core import TrainingConfig\n")
         violations = check_layering.check(tmp_path)
         assert [v[4] for v in violations] == ["repro.core"]
+
+    def test_data_imports_nothing_above_utils(self, tmp_path):
+        root = self._pkg(
+            tmp_path, "repro.data", "loader.py",
+            "from repro.utils.rng import as_generator\n"
+            "from repro.workloads.trace import Trace\n"
+            "from repro.testing.faults import fault_point\n",
+        )
+        violations = check_layering.check(root)
+        assert [v[4] for v in violations] == ["repro.workloads", "repro.testing"]
 
     def test_runtime_must_not_import_nn(self, tmp_path):
         """The engines take per-shard maths from the model's shard

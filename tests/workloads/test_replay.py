@@ -50,8 +50,8 @@ class TestReplay:
 
     def test_engine_counts_each_event_once(self, servable):
         """After a drained replay through a cached engine with no
-        cancellations, every request is one lookup and ends served or
-        rejected, and the cache's own counter is the eviction count."""
+        cancellations, every request is one lookup and ends completed or
+        shed, and the cache's own counter is the eviction count."""
 
         class CountingCache(FeatureCache):
             added = 0  # stores of a key the cache did not hold
@@ -69,10 +69,10 @@ class TestReplay:
         assert engine.outstanding == 0 and m.cancelled == 0
         assert report.offered == m.received
         assert m.cache_hits + m.cache_misses == m.received
-        assert m.cache_hits + sum(m.batch_sizes) == m.served
-        assert m.received == m.served + m.rejected
+        assert m.cache_hits + sum(m.batch_sizes) == m.completed
+        assert m.received == m.completed + m.shed
         assert cache.evictions == cache.added - len(cache)
-        assert min(m.cache_hits, m.cache_misses, m.rejected, cache.evictions) > 0
+        assert min(m.cache_hits, m.cache_misses, m.shed, cache.evictions) > 0
 
     def test_bit_identical_across_runs(self, servable, small_ae):
         trace = poisson_trace(seed=42)
@@ -87,6 +87,26 @@ class TestReplay:
         replayer.run()
         with pytest.raises(ServingError, match="single-use"):
             replayer.run()
+
+    def test_report_reads_the_target_metrics(self, servable):
+        engine = make_engine(servable, queue_depth=8, cache=FeatureCache(8))
+        report = TraceReplayer(
+            engine, poisson_trace(rate=8000.0, duration=0.1, payload_pool=32)
+        ).run()
+        m = engine.metrics
+        assert (report.completed, report.shed, report.cache_hits) == (
+            m.completed, m.shed, m.cache_hits
+        )
+        assert min(m.completed, m.shed, m.cache_hits) > 0
+        samples = np.asarray(m.latency.samples)
+        assert report.latency_p50_s == np.percentile(samples, 50)
+        assert report.latency_p99_s == np.percentile(samples, 99)
+
+    def test_refuses_a_target_that_already_received_requests(self, servable):
+        engine = make_engine(servable)
+        TraceReplayer(engine, poisson_trace(duration=0.05)).run()
+        with pytest.raises(ServingError, match="fresh target"):
+            TraceReplayer(engine, poisson_trace(duration=0.05)).run()
 
     def test_invalid_trace_rejected_on_construction(self, servable):
         bad = Trace(name="bad", seed=0, duration_s=1.0, payload_pool=4,
@@ -113,7 +133,7 @@ class TestReplay:
         engine = make_engine(servable, max_batch=1, queue_depth=2)
         report = TraceReplayer(engine, poisson_trace(rate=4000.0)).run()
         assert report.shed > 0
-        assert report.shed == engine.metrics.rejected
+        assert report.shed == engine.metrics.shed
         assert report.shed_rate == pytest.approx(report.shed / report.offered)
 
     def test_inline_cache_hits_counted_once(self, servable):

@@ -7,19 +7,22 @@ loop and :mod:`repro.core` composing everything above it.  This script
 fails the build when a package reaches *down* the wrong way:
 
 * ``repro.train`` must not import ``repro.nn`` / ``repro.core`` /
-  ``repro.phi`` / ``repro.serve`` — models plug into the loop through
-  the ``TrainStep`` adapter, never the other way around.  This covers
-  :mod:`repro.train.pipeline` too: the pipelined pre-trainer schedules
-  opaque ``StagePlan`` objects, and the model-aware stage construction
-  lives on the nn side (``StackedNetwork._pretrain_pipelined``);
-* ``repro.nn`` must not import ``repro.core`` / ``repro.serve``;
+  ``repro.phi`` / ``repro.serve`` / ``repro.cluster`` — models plug
+  into the loop through the ``TrainStep`` adapter, never the other way
+  around.  This covers :mod:`repro.train.pipeline` too: the pipelined
+  pre-trainer schedules opaque ``StagePlan`` objects, and the
+  model-aware stage construction lives on the nn side
+  (``_GreedyStack._pretrain_pipelined``);
+* ``repro.nn`` must not import ``repro.core`` / ``repro.serve`` /
+  ``repro.cluster``;
 * ``repro.runtime`` must not import ``repro.nn`` — the gradient engines
   run any model through its shard protocol (``shard_gradients`` and
   friends on the model), so the per-shard maths lives with the model;
 * nothing below the bench — ``repro.nn``, ``repro.train``,
   ``repro.runtime``, ``repro.shard`` — imports ``repro.bench``: the
   benches measure the training code, they do not hold any of it;
-* ``repro.data`` imports nothing above the utility layer;
+* ``repro.data`` imports nothing above the utility layer
+  (``repro.utils``, ``repro.errors``);
 * ``repro.serve`` must not import ``repro.cluster``, ``repro.shard`` or
   ``repro.bench`` — the cluster tier composes engines, a single engine
   never knows it is replicated, sharded or benchmarked;
@@ -78,8 +81,13 @@ FORBIDDEN = {
         "repro.runtime",
         "repro.phi",
         "repro.core",
+        "repro.optim",
         "repro.serve",
         "repro.cluster",
+        "repro.shard",
+        "repro.workloads",
+        "repro.bench",
+        "repro.testing",
     ),
     "repro.serve": (
         "repro.cluster",
